@@ -131,6 +131,8 @@ class _Run:
         self.degree_cap = _resolve(args.degree_cap, "FIELDLAB_DEGREE_CAP", DEFAULT_DEGREE_CAP)
         self.prime_bound = args.prime_bound if args.prime_bound is not None else DEFAULT_PRIME_BOUND
         self.mode = "randomized" if args.randomized else "deterministic"
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         self.threads = args.threads
         self.prime = None
         self.precision = None
@@ -160,6 +162,13 @@ def _resolve(flag_value, env_name: str, default: int) -> int:
     if raw is None:
         return default
     return int(raw)
+
+
+def _rational_arg(flag: str, raw: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}={raw}: zero denominator") from None
 
 
 def _parse_set(raw: str) -> tuple[UPoly, ...]:
@@ -222,8 +231,8 @@ def _cmd_norm_one(run: _Run) -> tuple[dict, int]:
 
 
 def _cmd_pell(run: _Run) -> tuple[dict, int]:
-    b = Fraction(run.args.b)
-    c = Fraction(run.args.c)
+    b = _rational_arg("--b", run.args.b)
+    c = _rational_arg("--c", run.args.c)
     code = EXIT_OK
     try:
         pairs = pell_solutions(

@@ -62,7 +62,7 @@ def is_separable_ext(E: NumberField) -> SeparabilityReport:
 
     Two equivalent tests run and must agree: det(trace_gram) != 0, and some
     power-basis element having nonzero trace (trace(1) = n already works in
-    characteristic zero; the agreement assert keeps the general contract)."""
+    characteristic zero; the agreement check keeps the general contract)."""
     gram = trace_gram(E)
     det = gram.det()
     witness = -1
@@ -72,7 +72,8 @@ def is_separable_ext(E: NumberField) -> SeparabilityReport:
             witness = i
             break
         current = current * E.gen()
-    assert (det != 0) == (witness >= 0), "trace-form tests disagree"
+    if (det != 0) != (witness >= 0):
+        raise AssertionError("trace-form tests disagree")
     return SeparabilityReport(
         gram_det=det, nonzero_trace_power=witness, is_separable=det != 0
     )
@@ -91,7 +92,8 @@ def is_galois(E: NumberField, **options) -> bool:
         basis.append(current)
         current = current * E.gen()
     rank = density_rank([conjugate_vector(G, b) for b in basis])
-    assert rank == E.degree, "full group but conjugate vectors do not span"
+    if rank != E.degree:
+        raise AssertionError("full group but conjugate vectors do not span")
     return True
 
 
@@ -158,7 +160,8 @@ def no_low_degree_relation(points, d: int) -> bool:
     m = len(pts[0])
     monos = _monomials(m, d)
     needed = comb(m + d, d)
-    assert len(monos) == needed
+    if len(monos) != needed:
+        raise AssertionError("monomial count differs from C(m+d, d)")
     if len(pts) < needed:
         raise InsufficientSample(needed, len(pts))
     rows = []

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Generic, Sequence, TypeVar
 
 from .errors import DimensionMismatch
-from .numberfield import FieldElem, NumberField
+from .numberfield import FieldElem, NumberField, _bareiss_int
 
 T = TypeVar("T")
 
@@ -256,28 +256,12 @@ def qmatrix_det(m: QMatrix) -> Fraction:
     return Fraction(_bareiss_int(work), 1) / scale
 
 
-def _bareiss_int(a: list[list[int]]) -> int:
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pk - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
-
-
 def field_det(rows, zero, one):
-    """Bareiss over a field given as nested lists; divisions are exact."""
+    """Bareiss over a field given as nested lists; divisions are exact.
+
+    Each step divides by the previous pivot, so that pivot is inverted once
+    and every entry multiplied by the inverse.
+    """
     n = len(rows)
     if n == 0:
         return one
@@ -285,7 +269,7 @@ def field_det(rows, zero, one):
         raise DimensionMismatch("determinant of a non-square matrix")
     a = [list(r) for r in rows]
     sign = one
-    prev = one
+    inv = None  # 1/prev; the first step divides by 1
     for k in range(n - 1):
         if a[k][k] == zero:
             swap = next((i for i in range(k + 1, n) if a[i][k] != zero), None)
@@ -293,10 +277,15 @@ def field_det(rows, zero, one):
                 return zero
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        pk = a[k][k]
+        if k:
+            inv = one / a[k - 1][k - 1]
+        pivot_row = a[k]
+        pk = pivot_row[k]
         for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pk - a[i][k] * a[k][j]) / prev
-            a[i][k] = zero
-        prev = pk
+                t = row[j] * pk - aik * pivot_row[j]
+                row[j] = t if inv is None else t * inv
+            row[k] = zero
     return sign * a[n - 1][n - 1]

@@ -7,8 +7,14 @@ or it is ``AssumedIrreducible`` and any hidden factor of f will surface
 later as a ``ZeroDivisor`` witness during inversion.  Full factorization
 over Q is deliberately out of scope.
 
-Elements are coefficient vectors in the power basis 1, theta, ...,
-theta**(n-1); all arithmetic is exact and all values immutable.
+Elements are coordinate vectors in the power basis 1, theta, ...,
+theta**(n-1), stored as integer numerators over one positive common
+denominator in lowest terms (Cohen, *A Course in Computational Algebraic
+Number Theory*, 4.2).  That form is canonical, so equality and hashing
+compare integers, and element arithmetic runs on ints with at most one gcd
+per result.  The rational coordinates (``fractions.Fraction``) are built on
+demand by ``FieldElem.coeffs``, the element's API and JSON view.  All values
+are immutable.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     ConstantPolynomial,
@@ -53,26 +59,27 @@ class AssumedIrreducible:
 class NumberField:
     """E = Q[x]/(f) with f monic of degree n >= 1."""
 
-    __slots__ = ("minpoly", "degree", "certificate", "_reduction_rows")
+    __slots__ = ("minpoly", "degree", "certificate", "_reduction_rows",
+                 "_reduction_den")
 
     def __init__(self, minpoly: UPoly, certificate):
         n = minpoly.degree
         self.minpoly = minpoly
         self.degree = n
         self.certificate = certificate
-        # theta**(n+j) in the power basis, j = 0..n-2, for fast reduction
-        rows = []
-        if n >= 1:
-            row = tuple(-c for c in minpoly.coeffs[:n])
-            rows.append(row)
-            for _ in range(n - 2):
-                shifted = [Fraction(0)] + list(row[: n - 1])
-                top = row[n - 1]
-                row = tuple(
-                    shifted[i] + top * rows[0][i] for i in range(n)
-                )
-                rows.append(row)
-        self._reduction_rows = tuple(rows)
+        # theta**(n+j) = _reduction_rows[j] / _reduction_den in the power
+        # basis, j = 0..n-2; the denominator is 1 for every integral f
+        rows = [tuple(-c for c in minpoly.coeffs[:n])]
+        for _ in range(n - 2):
+            top = rows[-1][n - 1]
+            rows.append(tuple(
+                (rows[-1][i - 1] if i else 0) + top * rows[0][i] for i in range(n)
+            ))
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        self._reduction_rows = tuple(
+            tuple(c.numerator * (den // c.denominator) for c in row) for row in rows
+        )
+        self._reduction_den = den
 
     # -- constructors -------------------------------------------------
 
@@ -80,7 +87,9 @@ class NumberField:
         return FieldElem(self, coeffs)
 
     def from_rational(self, c) -> "FieldElem":
-        return FieldElem(self, [c] + [0] * (self.degree - 1))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _raw(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     def zero(self) -> "FieldElem":
         return self.from_rational(0)
@@ -115,43 +124,60 @@ class NumberField:
 
 
 class FieldElem:
-    """Element of a NumberField as coordinates in the power basis."""
+    """Element of a NumberField: power-basis coordinates num[i] / den.
 
-    __slots__ = ("parent", "coeffs")
+    den > 0 and gcd(den, *num) = 1, so every element has exactly one form.
+    """
+
+    __slots__ = ("parent", "num", "den")
 
     def __init__(self, parent: NumberField, coeffs: Iterable):
-        cs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs
-        )
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(cs) != parent.degree:
             raise ValueError(
                 f"expected {parent.degree} coordinates, got {len(cs)}"
             )
+        # the lcm of reduced denominators is coprime to the numerators
+        den = math.lcm(*(c.denominator for c in cs))
         self.parent = parent
-        self.coeffs = cs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
 
     # -- structural ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates; the API and JSON view of the element."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_poly(self) -> UPoly:
         return UPoly(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
-            return self.parent == other.parent and self.coeffs == other.coeffs
+            return (
+                self.num == other.num
+                and self.den == other.den
+                and (self.parent is other.parent or self.parent == other.parent)
+            )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeffs[0] == other
+            return (
+                self.is_rational
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.parent, self.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"FieldElem({list(self.coeffs)!r})"
@@ -172,25 +198,27 @@ class FieldElem:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)) and other.denominator == 1:
+            # adding a multiple of den leaves gcd(den, *num) = 1
+            num = self.num
+            return _raw(
+                self.parent, (num[0] + other.numerator * self.den,) + num[1:], self.den
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElem(
-            self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.parent, [-a for a in self.coeffs])
+        return _raw(self.parent, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElem(
-            self.parent, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -200,26 +228,38 @@ class FieldElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElem(self.parent, [c * other for c in self.coeffs])
+            return _canonical(
+                self.parent,
+                [c * other.numerator for c in self.num],
+                self.den * other.denominator,
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = self.parent.degree
-        a, b = self.coeffs, other.coeffs
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, ca in enumerate(a):
+        E = self.parent
+        n = E.degree
+        b = other.num
+        # plain index loops: faster here than comprehensions or sum(map())
+        conv = [0] * (2 * n - 1)
+        for i, ca in enumerate(self.num):
             if ca:
-                for j, cb in enumerate(b):
-                    conv[i + j] += ca * cb
+                k = i
+                for cb in b:
+                    conv[k] += ca * cb
+                    k += 1
+        den = self.den * other.den
         out = conv[:n]
-        rows = self.parent._reduction_rows
-        for j in range(n, 2 * n - 1):
-            c = conv[j]
+        rden = E._reduction_den
+        if rden != 1:
+            out = [c * rden for c in out]
+            den *= rden
+        for c, row in zip(conv[n:], E._reduction_rows):
             if c:
-                row = rows[j - n]
-                for i in range(n):
-                    out[i] += c * row[i]
-        return FieldElem(self.parent, out)
+                i = 0
+                for r in row:
+                    out[i] += c * r
+                    i += 1
+        return _canonical(E, out, den)
 
     __rmul__ = __mul__
 
@@ -239,7 +279,11 @@ class FieldElem:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by zero")
-            return FieldElem(self.parent, [c / other for c in self.coeffs])
+            return _canonical(
+                self.parent,
+                [c * other.denominator for c in self.num],
+                self.den * other.numerator,
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -252,28 +296,101 @@ class FieldElem:
         return other * invert(self)
 
 
-def invert(a: FieldElem) -> FieldElem:
-    """a**-1 by the extended Euclidean algorithm on (rep(a), f).
+def _raw(parent: NumberField, num: tuple, den: int) -> FieldElem:
+    # an element from a numerator tuple and denominator already in lowest terms
+    e = object.__new__(FieldElem)
+    e.parent = parent
+    e.num = num
+    e.den = den
+    return e
 
-    A gcd of positive degree < n is a proper factor of f: the field was
-    built on an AssumedIrreducible polynomial that is actually reducible,
-    reported as ZeroDivisor with the factor as witness.
+
+def _canonical(parent: NumberField, num: list, den: int) -> FieldElem:
+    # lowest terms with a positive denominator; den != 0
+    if den < 0:
+        num = [-c for c in num]
+        den = -den
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _raw(parent, tuple(num), den)
+
+
+def _add(a: FieldElem, b: FieldElem, sign: int) -> FieldElem:
+    # a + sign*b over the common denominator
+    da, db = a.den, b.den
+    if da == db:
+        return _canonical(a.parent, [x + sign * y for x, y in zip(a.num, b.num)], da)
+    return _canonical(
+        a.parent, [x * db + sign * y * da for x, y in zip(a.num, b.num)], da * db
+    )
+
+
+def invert(a: FieldElem) -> FieldElem:
+    """a**-1 by a fraction-free solve of (multiplication by a) x = 1.
+
+    With a = A / den and theta**n = row0 / rden, column j of the integer
+    matrix C holds the numerator of A*theta**j over rden**j; C z = e_0 gives
+    x_j = rden**j * z_j and a**-1 = den * x.  C is singular exactly when
+    rep(a) shares a factor with f: the field was built on an
+    AssumedIrreducible polynomial that is actually reducible, reported as
+    ZeroDivisor with the monic gcd(f, rep(a)) as witness.
     """
     if a.is_zero:
         raise DivisionByZero("inverse of zero")
-    f = a.parent.minpoly
-    r0, r1 = f, a.as_poly()
-    t0, t1 = UPoly(), UPoly([1])
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    # r0 = gcd, t0 * rep(a) = r0 (mod f)
-    if r0.degree > 0:
-        raise ZeroDivisor(r0.monic())
-    g = r0.coeffs[0]
-    inv_poly = t0 * (1 / g)
-    return a.parent.reduce_poly(inv_poly)
+    E = a.parent
+    n = E.degree
+    row0 = E._reduction_rows[0]
+    rden = E._reduction_den
+    col = list(a.num)
+    cols = []
+    for _ in range(n):
+        cols.append(col)
+        top = col[-1]
+        col = [rden * c + top * r for c, r in zip([0] + col[:-1], row0)]
+    m = [[c[i] for c in cols] + [int(i == 0)] for i in range(n)]
+    if _bareiss_int(m) == 0:
+        raise ZeroDivisor(poly_gcd(E.minpoly, a.as_poly()))
+    # back substitution: with u the last pivot, u*z is integral (Cramer)
+    u = m[n - 1][n - 1]
+    z = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = u * row[n] - sum(row[j] * z[j] for j in range(i + 1, n))
+        z[i] = acc // row[i]
+    return _canonical(E, [a.den * rden**j * c for j, c in enumerate(z)], u)
+
+
+def _bareiss_int(a: list[list[int]]) -> int:
+    """det of the leading n x n block of the n-row integer matrix a.
+
+    Fraction-free Bareiss elimination in place; columns past n (right-hand
+    sides) are carried along, so a solvable [M | b] ends as [U | b'] with U
+    upper triangular, U[n-1][n-1] = +-det M and the same solutions.
+    Returns 0 as soon as M is seen to be singular.
+    """
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pk = pivot_row[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pk - aik * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pk
+    return sign * a[n - 1][n - 1]
 
 
 def make_field(

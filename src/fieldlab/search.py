@@ -146,14 +146,14 @@ def _hits(
     # dropped at commit time so results are distinct mod Q^x.  Rejected
     # candidates get no such shortcut: h(c*a) and h(a) can differ in kind.
     stream = enumerate_candidates(E, cfg)
-    seen: set[tuple] = set()
+    seen: set[FieldElem] = set()
     hit_rays: set[tuple] = set()
 
     def fresh() -> Iterator[FieldElem]:
         for cand in stream:
-            if cand.coeffs in seen:
+            if cand in seen:
                 continue
-            seen.add(cand.coeffs)
+            seen.add(cand)
             yield cand
 
     def commit(w: WitnessedElement | None) -> WitnessedElement | None:
@@ -208,7 +208,8 @@ def search_primitive(
 
     Degree-1 fields short-circuit to 1, 2, ..., count: everything generates.
     """
-    assert is_separable_ext(E).is_separable
+    if not is_separable_ext(E).is_separable:
+        raise AssertionError("trace form of a squarefree f is degenerate")
     if E.degree == 1:
         out = []
         for k in range(1, cfg.count + 1):
@@ -308,26 +309,36 @@ def _norm_one_engine(
         mp = _primitive_cert(E, value)
         if mp is None:
             return None
-        if group is not None and normal_det(group, value).is_zero:
-            return None
-        return WitnessedElement(cand, (PerH(cfg.S[0], value, mp, None),), None)
+        det = None
+        if group is not None:
+            det = normal_det(group, value)
+            if det.is_zero:
+                return None
+        return WitnessedElement(cand, (PerH(cfg.S[0], value, mp, det),), None)
 
     out: list[WitnessedElement] = []
-    seen: set[tuple] = set()
+    seen: set[FieldElem] = set()
     try:
         for w in _hits(E, cfg, certify, threads):
-            a = w.per_h[0].value / norm(w.a)
-            if a.coeffs in seen:
+            hit = w.per_h[0]
+            norm_b = norm(w.a)
+            a = hit.value / norm_b
+            if a in seen:
                 continue
-            seen.add(a.coeffs)
+            seen.add(a)
             mp = minpoly(a)
-            assert mp.degree == n
+            if mp.degree != n:
+                raise AssertionError("b^n / N(b) lost primitivity")
             norm_a = norm(a)
-            assert norm_a == 1
+            if norm_a != 1:
+                raise AssertionError("b^n / N(b) does not have norm 1")
             det = None
             if group is not None:
-                det = normal_det(group, a)
-                assert not det.is_zero
+                # the group determinant is multilinear in the |G| conjugates,
+                # each divided here by N(b)
+                det = hit.normal_det * norm_b ** -group.order
+                if det.is_zero:
+                    raise AssertionError("b^n / N(b) lost normality")
             out.append(
                 WitnessedElement(a, (PerH(UPoly.x(), a, mp, det),), norm_a)
             )
@@ -412,7 +423,8 @@ def pell_solutions(
     def to_pair(w: WitnessedElement) -> tuple[Fraction, Fraction]:
         u, v_scaled = w.a.coeffs
         x, y = u, -v_scaled * lam
-        assert x * x + b * x * y + c * y * y == 1
+        if x * x + b * x * y + c * y * y != 1:
+            raise AssertionError(f"({x}, {y}) does not solve the form")
         return (x, y)
 
     try:

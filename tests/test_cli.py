@@ -89,6 +89,23 @@ def test_exit_2_on_square_discriminant(capsys):
     assert main(["pell", "--b", "0", "--c=-1", "--count", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["pell", "--b=1/0", "--c=-1"],
+    ["pell", "--b=1", "--c=1/0"],
+])
+def test_exit_2_on_zero_denominator(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "zero denominator" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_exit_2_on_thread_count_below_one(capsys, threads):
+    assert main(["primitive", "x^2+1", "--threads", threads]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+
+
 def test_exit_3_on_not_galois(capsys):
     assert main(["normal", "x^3-2", "--set", "x", "--count", "1"]) == 3
     assert main(["norm-one", "x^3-2", "--count", "1", "--normal"]) == 3

@@ -10,6 +10,7 @@ from fieldlab import (
     CertifiedModP,
     ConstantPolynomial,
     DivisionByZero,
+    EMatrix,
     FieldMismatch,
     NotSquarefree,
     RationalRoot,
@@ -127,6 +128,21 @@ def test_zero_divisor_in_forced_field():
     with pytest.raises(ZeroDivisor) as e:
         invert(E.element([-1, 1]))  # theta - 1
     assert e.value.factor == parse_poly("x-1")
+
+
+def test_zero_divisor_surfaces_in_inverse_and_determinant():
+    # (x^2+1)(x^2+2) has no rational root; theta^2+1 is a zero divisor
+    E = _force_field(parse_poly("x^2+1") * parse_poly("x^2+2"))
+    a = E.element([1, 0, 1, 0])
+    with pytest.raises(ZeroDivisor) as e:
+        invert(a)
+    assert e.value.factor == parse_poly("x^2+1")
+    # the second Bareiss step divides by the first pivot, a
+    zero, one = E.zero(), E.one()
+    m = EMatrix(E, [[a, zero, zero], [zero, one, zero], [zero, zero, one]])
+    with pytest.raises(ZeroDivisor) as e:
+        m.det()
+    assert e.value.factor == parse_poly("x^2+1")
 
 
 def test_rational_coercion(qi):

@@ -1,0 +1,92 @@
+"""Property tests of the integer-numerator element core against plain
+Fraction arithmetic, on integral and non-integral defining polynomials."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from fieldlab import UPoly, ZeroDivisor  # noqa: E402
+from fieldlab.numberfield import _force_field, invert  # noqa: E402
+
+RATIONALS = st.fractions(-9, 9, max_denominator=6)
+
+
+def schoolbook_product(f: UPoly, a, b) -> tuple:
+    """Coordinates of a*b in Q[x]/(f): full product, then reduction from the top."""
+    n = f.degree
+    conv = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        for i in range(n):
+            conv[k - n + i] -= conv[k] * f.coeffs[i]
+    return tuple(conv[:n])
+
+
+def assert_canonical(e):
+    assert e.den > 0
+    assert math.gcd(e.den, *e.num) == 1
+    assert e.coeffs == tuple(Fraction(c, e.den) for c in e.num)
+    twin = e.parent.element(e.coeffs)
+    assert (twin.num, twin.den) == (e.num, e.den)
+    assert twin == e and hash(twin) == hash(e)
+
+
+def draw_field(data, integral: bool):
+    n = data.draw(st.integers(1, 6), label="degree")
+    if integral:
+        low = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    else:
+        low = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        # one half-odd coefficient makes the reduction denominator > 1
+        i = data.draw(st.integers(0, n - 1))
+        low[i] = Fraction(2 * data.draw(st.integers(-9, 9)) + 1, 2)
+    E = _force_field(UPoly(list(low) + [1]))
+    assert (E._reduction_den == 1) == integral
+    return E
+
+
+@pytest.mark.parametrize("integral", [True, False])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_fractions(integral, data):
+    E = draw_field(data, integral)
+    n = E.degree
+    coords = st.lists(RATIONALS, min_size=n, max_size=n)
+    ca, cb = data.draw(coords), data.draw(coords)
+    q = data.draw(RATIONALS.filter(bool), label="scalar")
+    a, b = E.element(ca), E.element(cb)
+
+    product = a * b
+    assert product.coeffs == schoolbook_product(E.minpoly, ca, cb)
+    assert_canonical(product)
+    assert b * a == product and hash(b * a) == hash(product)
+    for e, expected in [
+        (a + b, [x + y for x, y in zip(ca, cb)]),
+        (a - b, [x - y for x, y in zip(ca, cb)]),
+        (-a, [-x for x in ca]),
+        (a * q, [x * q for x in ca]),
+        (a / q, [x / q for x in ca]),
+        (a + q, [ca[0] + q] + ca[1:]),
+    ]:
+        assert e.coeffs == tuple(expected)
+        assert_canonical(e)
+    assert (a * q) / q == a and hash((a * q) / q) == hash(a)
+
+    if a.is_zero:
+        return
+    try:
+        inv = invert(a)
+    except ZeroDivisor as e:
+        # a reducible f: the witness is a proper common factor of f and rep(a)
+        factor = e.factor
+        assert 0 < factor.degree < n
+        assert (E.minpoly % factor).is_zero and (a.as_poly() % factor).is_zero
+    else:
+        assert_canonical(inv)
+        assert a * inv == 1 and a * inv == E.one()

@@ -20,6 +20,7 @@ from fieldlab import (
     is_primitive,
     minpoly,
     norm,
+    normal_det,
     norm_one_normal,
     norm_one_primitive,
     parse_poly,
@@ -277,6 +278,8 @@ def test_norm_one_normal_certificates(qi):
         assert norm(w.a) == 1
         assert minpoly(w.a).degree == 2
         assert conjugate_rank(G, w.a) == 2
+        # derived from the determinant of b^n by scaling; must equal a fresh one
+        assert w.per_h[0].normal_det == normal_det(G, w.a)
 
 
 def test_norm_one_normal_requires_galois():
@@ -344,3 +347,20 @@ def test_threads_do_not_change_results(galois_fields):
         single = [w.a for w in search_normal(E, cfg, threads=1)]
         multi = [w.a for w in search_normal(E, cfg, threads=4)]
         assert single == multi
+
+
+def test_library_checks_survive_python_O():
+    # python -O strips assert statements, so library checks must raise instead
+    import ast
+    import pathlib
+
+    import fieldlab
+
+    root = pathlib.Path(fieldlab.__file__).parent
+    bare = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert bare == []
