@@ -133,7 +133,6 @@ class _Run:
         self.mode = "randomized" if args.randomized else "deterministic"
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        self.threads = args.threads
         self.prime = None
         self.precision = None
         self.budget_exhausted = False
@@ -205,7 +204,7 @@ def _search_command(run: _Run, command: str) -> tuple[dict, int]:
     engine = search_primitive if command == "primitive" else search_normal
     code = EXIT_OK
     try:
-        found = engine(E, cfg, threads=run.threads)
+        found = engine(E, cfg)
     except HeightCapExceeded as e:
         found = list(e.partial)
         run.budget_exhausted = True
@@ -220,8 +219,7 @@ def _cmd_norm_one(run: _Run) -> tuple[dict, int]:
     try:
         found = engine(
             E, run.args.count,
-            max_height=run.max_height, seed=run.seed,
-            mode=run.mode, threads=run.threads,
+            max_height=run.max_height, seed=run.seed, mode=run.mode,
         )
     except HeightCapExceeded as e:
         found = list(e.partial)
@@ -237,8 +235,7 @@ def _cmd_pell(run: _Run) -> tuple[dict, int]:
     try:
         pairs = pell_solutions(
             b, c, run.args.count,
-            max_height=run.max_height, seed=run.seed,
-            mode=run.mode, threads=run.threads,
+            max_height=run.max_height, seed=run.seed, mode=run.mode,
         )
     except HeightCapExceeded as e:
         pairs = list(e.partial)
@@ -349,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--prime-bound", type=int, default=None,
                         help="largest prime tried when splitting f (default 10000)")
     common.add_argument("--threads", type=int, default=1,
-                        help="candidate-testing threads (results identical for any count)")
+                        help="accepted; the search is serial")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -32,7 +32,13 @@ from .errors import (
     PrecisionCapExceeded,
 )
 from .numberfield import FieldElem, NumberField
-from .polynomials import ModPoly, UPoly, poly_eval, primes_from, rational_reconstruct
+from .polynomials import (
+    ModPoly,
+    newton_lift,
+    poly_eval,
+    primes_from,
+    rational_reconstruct,
+)
 
 DEFAULT_DEGREE_CAP = 8
 DEFAULT_PRIME_BOUND = 10_000
@@ -84,41 +90,13 @@ def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
     raise NoSplitPrimeFound(bound)
 
 
-def _coeffs_mod(f: UPoly, modulus: int) -> list[int]:
-    out = []
-    for c in f.coeffs:
-        den = c.denominator % modulus
-        out.append(c.numerator * pow(den, -1, modulus) % modulus)
-    return out
-
-
-def _eval_mod(coeffs: list[int], x: int, modulus: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
-    return acc
-
-
 def hensel_lift(data: SplitPrimeData, target_k: int) -> SplitPrimeData:
     """Newton-lift every root to precision p^target_k; no-op if already there."""
     if data.precision >= target_k:
         return data
-    f = data.field.minpoly
-    fprime = f.derivative()
-    p = data.p
-    k = data.precision
-    roots = list(data.lifted_roots)
-    while k < target_k:
-        k *= 2
-        modulus = p ** k
-        fc = _coeffs_mod(f, modulus)
-        fpc = _coeffs_mod(fprime, modulus)
-        for i, r in enumerate(roots):
-            fr = _eval_mod(fc, r, modulus)
-            dfr = _eval_mod(fpc, r, modulus)
-            roots[i] = (r - fr * pow(dfr, -1, modulus)) % modulus
-    final = p ** target_k
-    return SplitPrimeData(data.field, p, tuple(r % final for r in roots), target_k)
+    roots = newton_lift(data.field.minpoly, data.lifted_roots, data.p,
+                        data.precision, target_k)
+    return SplitPrimeData(data.field, data.p, roots, target_k)
 
 
 class Automorphism:
@@ -205,10 +183,9 @@ def automorphisms_with_diagnostics(
     if n > degree_cap:
         raise DegreeCapExceeded(n, degree_cap)
     identity = Automorphism(E, E.gen())
-    if n == 1:
-        base = find_split_prime(E, prime_bound, min_prime)
-        return [identity], base
     base = find_split_prime(E, prime_bound, min_prime)
+    if n == 1:
+        return [identity], base
     found: dict[tuple, Automorphism] = {identity.r.coeffs: identity}
     achieved = {_root_label(identity, base.lifted_roots, base.p)}
 

@@ -37,6 +37,7 @@ from .polynomials import (
     UPoly,
     mod_is_irreducible,
     mod_is_squarefree,
+    newton_lift,
     poly_gcd,
     primes_from,
 )
@@ -431,33 +432,39 @@ def make_field(
 
 
 def _rational_root(f: UPoly) -> Fraction | None:
-    """First rational root of monic f (rational-root test on the integer model)."""
+    """The rational root of squarefree f least by (|num|, den, sign), or None.
+
+    With c_n x^n + ... + c_0 the primitive integer model of f, every rational
+    root is y / c_n for an integer root y of the monic integer polynomial
+    g(y) = c_n^(n-1) * f(y / c_n) (up to the scale of f).  The integer roots
+    of g are its roots modulo a small prime p where g stays squarefree,
+    Newton-lifted until p^k exceeds twice the Cauchy bound of g and checked
+    exactly; the time grows with the digits of f's coefficients, not with
+    their size.
+    """
     ints, _ = f.integerized()
     if ints[0] == 0:
         return Fraction(0)
-    for num in sorted(_divisors(abs(ints[0]))):
-        for den in sorted(_divisors(abs(ints[-1]))):
-            if math.gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return cand
-    return None
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+    n = len(ints) - 1
+    lead = ints[-1]
+    g = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    bound = 1 + max(abs(c) for c in g[:-1])  # |y| <= bound for every root y
+    for p in primes_from(2):
+        gp = ModPoly(p, g)
+        if mod_is_squarefree(gp):
+            break
+    k = 1
+    while p**k <= 2 * bound:
+        k += 1
+    modulus = p**k
+    gq = UPoly(g)
+    roots = []
+    for r in newton_lift(gq, [t for t in range(p) if gp(t) == 0], p, 1, k):
+        y = r - modulus if 2 * r > modulus else r
+        if gq(y) == 0:
+            roots.append(Fraction(y, lead))
+    return min(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0),
+               default=None)
 
 
 def _force_field(f: UPoly) -> NumberField:

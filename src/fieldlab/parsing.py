@@ -8,8 +8,10 @@ Grammar (whitespace insignificant, no implicit multiplication):
     rational := uint ('/' uint)?
 
 Signs reach numbers through the '-' factor production, so "-3/4*x" means
-(-(3/4)) * x.  format_poly is the canonical inverse: parse_poly(format_poly(p))
-returns p for every polynomial.
+(-(3/4)) * x.  An exponent or a product of degree above MAX_DEGREE is a
+syntax error at its '^' or '*' token, so no input expands into a huge
+polynomial.  format_poly is the canonical inverse: parse_poly(format_poly(p))
+returns p for every polynomial of degree at most MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import EmptyInput, PolySyntaxError
 from .polynomials import UPoly
 
 _SYMBOLS = "+-*/^()x"
+MAX_DEGREE = 64
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -94,8 +97,13 @@ class _Parser:
 
     def term(self) -> UPoly:
         acc = self.factor()
-        while self._accept("*"):
-            acc = acc * self.factor()
+        while (star := self._accept("*")) is not None:
+            rhs = self.factor()
+            if acc.degree + rhs.degree > MAX_DEGREE:
+                raise PolySyntaxError(
+                    star[2], f"product of degree at most {MAX_DEGREE}"
+                )
+            acc = acc * rhs
         return acc
 
     def factor(self) -> UPoly:
@@ -114,7 +122,10 @@ class _Parser:
         if self._accept("x"):
             if self._accept("^"):
                 exp_tok = self._expect("num", "exponent")
-                return UPoly.monomial(int(exp_tok[1]))
+                degree = int(exp_tok[1])
+                if degree > MAX_DEGREE:
+                    raise PolySyntaxError(exp_tok[2], f"exponent at most {MAX_DEGREE}")
+                return UPoly.monomial(degree)
             return UPoly.x()
         if self._accept("("):
             inner = self.expr()

@@ -540,3 +540,42 @@ def _prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _coeffs_mod(f: UPoly, modulus: int) -> list[int]:
+    out = []
+    for c in f.coeffs:
+        den = c.denominator % modulus
+        out.append(c.numerator * pow(den, -1, modulus) % modulus)
+    return out
+
+
+def _eval_mod(coeffs: list[int], x: int, modulus: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
+
+
+def newton_lift(
+    f: UPoly, roots: Sequence[int], p: int, k: int, target_k: int
+) -> tuple[int, ...]:
+    """Lift roots of f modulo p^k to roots modulo p^target_k.
+
+    Newton's iteration doubles the precision each step.  Every root must be
+    simple modulo p (f' a unit there) and no denominator of f may vanish
+    modulo p; the lift of each root is then unique.
+    """
+    fprime = f.derivative()
+    out = list(roots)
+    while k < target_k:
+        k *= 2
+        modulus = p ** k
+        fc = _coeffs_mod(f, modulus)
+        fpc = _coeffs_mod(fprime, modulus)
+        for i, r in enumerate(out):
+            fr = _eval_mod(fc, r, modulus)
+            dfr = _eval_mod(fpc, r, modulus)
+            out[i] = (r - fr * pow(dfr, -1, modulus)) % modulus
+    final = p ** target_k
+    return tuple(r % final for r in out)

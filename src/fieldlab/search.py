@@ -6,22 +6,21 @@ vectors by height (max absolute coordinate) and testing exactly is a
 complete procedure.  Everything emitted carries a certificate that tests can
 re-verify from scratch; nothing is trusted from the search itself.
 
-Candidate testing can fan out over a thread pool in fixed-size batches, but
-hits are committed strictly in enumeration order, so results are identical
-for every thread count.
+Every search is one serial loop: enumerate by height, certify, commit.  A
+single certifier tests each candidate, hits are committed in enumeration
+order, and degree-1 fields, where the stream of non-rational candidates is
+empty, walk the rationals 1, 2, 3, ... through the same certifier.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import lcm, isqrt
 from typing import Callable, Iterator, Sequence
 
-from .criteria import is_separable_ext, normal_det
+from .criteria import normal_det
 from .errors import (
     ConstantPolynomial,
     HeightCapExceeded,
@@ -35,7 +34,6 @@ from .representation import minpoly, norm
 
 DEFAULT_MAX_HEIGHT = 1000
 _DRAWS_PER_HEIGHT = 50
-_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -145,40 +143,21 @@ def _hits(
     # are dropped before testing, and a hit proportional to an earlier hit is
     # dropped at commit time so results are distinct mod Q^x.  Rejected
     # candidates get no such shortcut: h(c*a) and h(a) can differ in kind.
-    stream = enumerate_candidates(E, cfg)
+    # threads is unused; perfbench/tracing.py::_wrap_hits wraps this signature
     seen: set[FieldElem] = set()
     hit_rays: set[tuple] = set()
-
-    def fresh() -> Iterator[FieldElem]:
-        for cand in stream:
-            if cand in seen:
-                continue
-            seen.add(cand)
-            yield cand
-
-    def commit(w: WitnessedElement | None) -> WitnessedElement | None:
+    for cand in enumerate_candidates(E, cfg):
+        if cand in seen:
+            continue
+        seen.add(cand)
+        w = certify(cand)
         if w is None:
-            return None
+            continue
         ray = _proj_key(w.a.coeffs)
         if ray in hit_rays:
-            return None
+            continue
         hit_rays.add(ray)
-        return w
-
-    if threads <= 1:
-        for cand in fresh():
-            w = commit(certify(cand))
-            if w is not None:
-                yield w
-        return
-    gen = fresh()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            batch = list(islice(gen, _BATCH))
-            for w in pool.map(certify, batch):
-                w = commit(w)
-                if w is not None:
-                    yield w
+        yield w
 
 
 def _collect(gen: Iterator[WitnessedElement], count: int) -> list[WitnessedElement]:
@@ -201,37 +180,54 @@ def _primitive_cert(E: NumberField, a: FieldElem) -> UPoly | None:
     return mp
 
 
-def search_primitive(
-    E: NumberField, cfg: SearchConfig, threads: int = 1
-) -> list[WitnessedElement]:
-    """First count elements a with every h(a) a generator of E.
-
-    Degree-1 fields short-circuit to 1, 2, ..., count: everything generates.
-    """
-    if not is_separable_ext(E).is_separable:
-        raise AssertionError("trace form of a squarefree f is degenerate")
-    if E.degree == 1:
-        out = []
-        for k in range(1, cfg.count + 1):
-            a = E.from_rational(k)
-            per = tuple(
-                PerH(h, poly_eval(h, a), minpoly(poly_eval(h, a)), None)
-                for h in cfg.S
-            )
-            out.append(WitnessedElement(a, per, None))
-        return out
-
+def _certifier(
+    E: NumberField, S: Sequence[UPoly], G: GaloisGroup | None
+) -> Callable[[FieldElem], WitnessedElement | None]:
+    # the certify step of every search: each h(cand) must generate E and,
+    # when G is given, also have a nonzero group determinant (normality)
     def certify(cand: FieldElem) -> WitnessedElement | None:
         per = []
-        for h in cfg.S:
+        for h in S:
             value = poly_eval(h, cand)
             mp = _primitive_cert(E, value)
             if mp is None:
                 return None
-            per.append(PerH(h, value, mp, None))
+            det = None
+            if G is not None:
+                det = normal_det(G, value)
+                if det.is_zero:
+                    return None
+            per.append(PerH(h, value, mp, det))
         return WitnessedElement(cand, tuple(per), None)
 
-    return _collect(_hits(E, cfg, certify, threads), cfg.count)
+    return certify
+
+
+def _degree_one(
+    E: NumberField, cfg: SearchConfig, G: GaloisGroup | None
+) -> list[WitnessedElement]:
+    # the candidate stream skips rationals, which are all of E = Q, so walk
+    # k = 1, 2, ... instead; a k with h(k) = 0 still generates Q but fails
+    # the normality test
+    certify = _certifier(E, cfg.S, G)
+    out: list[WitnessedElement] = []
+    k = 0
+    while len(out) < cfg.count:
+        k += 1
+        w = certify(E.from_rational(k))
+        if w is not None:
+            out.append(w)
+    return out
+
+
+def search_primitive(E: NumberField, cfg: SearchConfig) -> list[WitnessedElement]:
+    """First count elements a with every h(a) a generator of E.
+
+    Degree-1 fields short-circuit to 1, 2, ..., count: everything generates.
+    """
+    if E.degree == 1:
+        return _degree_one(E, cfg, None)
+    return _collect(_hits(E, cfg, _certifier(E, cfg.S, None), 1), cfg.count)
 
 
 def distinct_mod_scalars(results: Sequence[FieldElem]) -> bool:
@@ -247,106 +243,51 @@ def distinct_mod_scalars(results: Sequence[FieldElem]) -> bool:
     return True
 
 
-def search_normal(
-    E: NumberField, cfg: SearchConfig, threads: int = 1
-) -> list[WitnessedElement]:
+def search_normal(E: NumberField, cfg: SearchConfig) -> list[WitnessedElement]:
     """First count elements a with every h(a) both a generator and a normal
     generator (conjugate orbit a basis).  Requires a Galois field."""
     G = galois_group(E)
     if E.degree == 1:
-        # every nonzero rational is a normal generator of Q over Q; the
-        # candidate stream starts at degree 2, so walk k = 1, 2, ... directly
-        out: list[WitnessedElement] = []
-        k = 0
-        while len(out) < cfg.count:
-            k += 1
-            a = E.from_rational(k)
-            per = []
-            for h in cfg.S:
-                value = poly_eval(h, a)
-                det = normal_det(G, value)
-                if det.is_zero:  # h(k) = 0: this k fails the filter
-                    break
-                per.append(PerH(h, value, minpoly(value), det))
-            if len(per) == len(cfg.S):
-                out.append(WitnessedElement(a, tuple(per), None))
-        return out
-
-    def certify(cand: FieldElem) -> WitnessedElement | None:
-        per = []
-        for h in cfg.S:
-            value = poly_eval(h, cand)
-            mp = _primitive_cert(E, value)
-            if mp is None:
-                return None
-            det = normal_det(G, value)
-            if det.is_zero:
-                return None
-            per.append(PerH(h, value, mp, det))
-        return WitnessedElement(cand, tuple(per), None)
-
-    return _collect(_hits(E, cfg, certify, threads), cfg.count)
+        return _degree_one(E, cfg, G)
+    return _collect(_hits(E, cfg, _certifier(E, cfg.S, G), 1), cfg.count)
 
 
 def _norm_one_engine(
     E: NumberField,
     count: int,
-    group: GaloisGroup | None,
+    G: GaloisGroup | None,
     max_height: int,
     seed: int,
     mode: str,
-    threads: int,
-) -> list[WitnessedElement]:
-    # map search hits b to a = b^n / norm(b); keep the first count distinct a
+) -> Iterator[WitnessedElement]:
+    # map search hits b to a = b^n / norm(b), skipping an a seen before
     n = E.degree
     cfg = SearchConfig(
         S=(UPoly.monomial(n),), count=count,
         max_height=max_height, seed=seed, mode=mode,
     )
-
-    def certify(cand: FieldElem) -> WitnessedElement | None:
-        value = poly_eval(cfg.S[0], cand)
-        mp = _primitive_cert(E, value)
-        if mp is None:
-            return None
-        det = None
-        if group is not None:
-            det = normal_det(group, value)
-            if det.is_zero:
-                return None
-        return WitnessedElement(cand, (PerH(cfg.S[0], value, mp, det),), None)
-
-    out: list[WitnessedElement] = []
     seen: set[FieldElem] = set()
-    try:
-        for w in _hits(E, cfg, certify, threads):
-            hit = w.per_h[0]
-            norm_b = norm(w.a)
-            a = hit.value / norm_b
-            if a in seen:
-                continue
-            seen.add(a)
-            mp = minpoly(a)
-            if mp.degree != n:
-                raise AssertionError("b^n / N(b) lost primitivity")
-            norm_a = norm(a)
-            if norm_a != 1:
-                raise AssertionError("b^n / N(b) does not have norm 1")
-            det = None
-            if group is not None:
-                # the group determinant is multilinear in the |G| conjugates,
-                # each divided here by N(b)
-                det = hit.normal_det * norm_b ** -group.order
-                if det.is_zero:
-                    raise AssertionError("b^n / N(b) lost normality")
-            out.append(
-                WitnessedElement(a, (PerH(UPoly.x(), a, mp, det),), norm_a)
-            )
-            if len(out) == count:
-                return out
-    except HeightCapExceeded as e:
-        raise HeightCapExceeded(e.max_height, partial=tuple(out)) from None
-    raise AssertionError("hit stream ended without raising; unreachable")
+    for w in _hits(E, cfg, _certifier(E, cfg.S, G), 1):
+        hit = w.per_h[0]
+        norm_b = norm(w.a)
+        a = hit.value / norm_b
+        if a in seen:
+            continue
+        seen.add(a)
+        mp = minpoly(a)
+        if mp.degree != n:
+            raise AssertionError("b^n / N(b) lost primitivity")
+        norm_a = norm(a)
+        if norm_a != 1:
+            raise AssertionError("b^n / N(b) does not have norm 1")
+        det = None
+        if G is not None:
+            # the group determinant is multilinear in the |G| conjugates,
+            # each divided here by N(b)
+            det = hit.normal_det * norm_b ** -G.order
+            if det.is_zero:
+                raise AssertionError("b^n / N(b) lost normality")
+        yield WitnessedElement(a, (PerH(UPoly.x(), a, mp, det),), norm_a)
 
 
 def norm_one_primitive(
@@ -356,13 +297,12 @@ def norm_one_primitive(
     max_height: int = DEFAULT_MAX_HEIGHT,
     seed: int = 0,
     mode: str = "deterministic",
-    threads: int = 1,
 ) -> list[WitnessedElement]:
     """count distinct generators of E with norm exactly 1, built as
     b^n / norm(b) from primitive search hits b."""
     if E.degree == 1:
         raise TrivialExtension("norm-one generators need degree at least 2")
-    return _norm_one_engine(E, count, None, max_height, seed, mode, threads)
+    return _collect(_norm_one_engine(E, count, None, max_height, seed, mode), count)
 
 
 def norm_one_normal(
@@ -372,14 +312,13 @@ def norm_one_normal(
     max_height: int = DEFAULT_MAX_HEIGHT,
     seed: int = 0,
     mode: str = "deterministic",
-    threads: int = 1,
 ) -> list[WitnessedElement]:
     """count distinct elements that generate E, have norm 1, and whose
     conjugate orbit is a Q-basis; Galois fields only."""
     if E.degree == 1:
         raise TrivialExtension("norm-one generators need degree at least 2")
     G = galois_group(E)
-    return _norm_one_engine(E, count, G, max_height, seed, mode, threads)
+    return _collect(_norm_one_engine(E, count, G, max_height, seed, mode), count)
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -400,7 +339,6 @@ def pell_solutions(
     max_height: int = DEFAULT_MAX_HEIGHT,
     seed: int = 0,
     mode: str = "deterministic",
-    threads: int = 1,
 ) -> list[tuple[Fraction, Fraction]]:
     """count distinct exact rational solutions of x^2 + bxy + cy^2 = 1.
 
@@ -429,7 +367,7 @@ def pell_solutions(
 
     try:
         hits = norm_one_primitive(
-            E, count, max_height=max_height, seed=seed, mode=mode, threads=threads
+            E, count, max_height=max_height, seed=seed, mode=mode
         )
     except HeightCapExceeded as e:
         raise HeightCapExceeded(

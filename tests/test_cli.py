@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,22 @@ def test_exit_2_on_zero_denominator(capsys, argv):
 def test_exit_2_on_thread_count_below_one(capsys, threads):
     assert main(["primitive", "x^2+1", "--threads", threads]) == 2
     assert "--threads must be at least 1" in capsys.readouterr().err
+
+
+def test_exit_2_on_huge_exponent_without_expanding(capsys):
+    started = time.monotonic()
+    assert main(["analyze", "x^100000000+1"]) == 2
+    assert time.monotonic() - started < 1
+    assert "exponent at most 64" in capsys.readouterr().err
+
+
+def test_huge_constant_term_is_analyzed_quickly(capsys):
+    # no rational root; trial division of the constant term never ended
+    started = time.monotonic()
+    code, doc = run_json(capsys, "analyze", "x^2 - 1000000000000000000000000000057")
+    assert time.monotonic() - started < 5
+    assert code == 0
+    assert doc["results"][0]["automorphism_count"] == 2
 
 
 def test_exit_3_on_not_galois(capsys):

@@ -76,6 +76,14 @@ def test_rational_root_found_for_cubic():
     assert e.value.witness in (1, 2, -2)
 
 
+def test_rational_root_of_a_huge_square():
+    # trial division of the constant term would take about 10^15 steps
+    r = 10**15 + 37
+    with pytest.raises(RationalRoot) as e:
+        make_field(UPoly([-r * r, 0, 1]))
+    assert e.value.witness == r
+
+
 # ---------------------------------------------------------------------------
 # element arithmetic
 # ---------------------------------------------------------------------------

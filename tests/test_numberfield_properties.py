@@ -1,5 +1,6 @@
 """Property tests of the integer-numerator element core against plain
-Fraction arithmetic, on integral and non-integral defining polynomials."""
+Fraction arithmetic, on integral and non-integral defining polynomials, and
+of the modular rational-root search against the rational-root test."""
 
 import math
 from fractions import Fraction
@@ -7,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from fieldlab import UPoly, ZeroDivisor  # noqa: E402
-from fieldlab.numberfield import _force_field, invert  # noqa: E402
+from fieldlab import UPoly, ZeroDivisor, poly_gcd  # noqa: E402
+from fieldlab.numberfield import _force_field, _rational_root, invert  # noqa: E402
 
 RATIONALS = st.fractions(-9, 9, max_denominator=6)
 
@@ -90,3 +91,52 @@ def test_arithmetic_matches_fractions(integral, data):
     else:
         assert_canonical(inv)
         assert a * inv == 1 and a * inv == E.one()
+
+
+def divisor_scan_root(f: UPoly):
+    """Reference: the rational-root test by trial division, candidates
+    num/den with num | c_0 and den | c_n tried in the order (num, den, sign),
+    the first root found wins."""
+    ints, _ = f.integerized()
+    if ints[0] == 0:
+        return Fraction(0)
+    for num in sorted(_divisors(abs(ints[0]))):
+        for den in sorted(_divisors(abs(ints[-1]))):
+            if math.gcd(num, den) != 1:
+                continue
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                acc = Fraction(0)
+                for c in reversed(ints):
+                    acc = acc * cand + c
+                if acc == 0:
+                    return cand
+    return None
+
+
+def _divisors(n: int) -> list[int]:
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(st.fractions(-30, 30, max_denominator=6), max_size=3),
+    cofactor=st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(
+        lambda cs: cs[-1] != 0
+    ),
+)
+def test_rational_root_matches_divisor_scan(roots, cofactor):
+    f = UPoly(cofactor)
+    for r in roots:
+        f = f * UPoly([-r, 1])
+    # _rational_root expects a squarefree non-constant f
+    assume(f.degree >= 1 and poly_gcd(f, f.derivative()).degree == 0)
+    f = f.monic()
+    assert _rational_root(f) == divisor_scan_root(f)

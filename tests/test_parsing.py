@@ -13,6 +13,7 @@ from fieldlab import (
     format_poly,
     parse_poly,
 )
+from fieldlab.parsing import MAX_DEGREE
 from conftest import random_upoly
 
 
@@ -74,6 +75,17 @@ def test_empty_input():
         parse_poly("")
     with pytest.raises(EmptyInput):
         parse_poly("   ")
+
+
+def test_degree_cap_at_parse_time():
+    assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE == 64
+    assert parse_poly("x^32*x^32").degree == 64
+    # the error points at the exponent, or at the '*' of the product
+    for bad, at in [("x^65", 2), ("x^100000000+1", 2), ("x^40*x^30", 4),
+                    ("2*(x^40+1)*(x^30-x)", 10)]:
+        with pytest.raises(PolySyntaxError) as e:
+            parse_poly(bad)
+        assert e.value.position == at
 
 
 def test_zero_denominator():

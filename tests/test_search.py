@@ -165,6 +165,12 @@ def test_degree_one_short_circuit():
     E = field("x-1")
     res = search_primitive(E, cfg_for("x", count=3))
     assert [w.a for w in res] == [E.from_rational(k) for k in (1, 2, 3)]
+    # k = 2 is kept although x-2 sends it to 0: 0 still generates Q
+    # (contrast test_normal_degree_one_short_circuit)
+    res = search_primitive(E, cfg_for("x-2", count=3))
+    assert [w.a for w in res] == [E.from_rational(k) for k in (1, 2, 3)]
+    assert res[1].per_h[0].value.is_zero
+    assert res[1].per_h[0].min_poly == parse_poly("x")
 
 
 def test_budget_carries_partial(qi):
@@ -330,7 +336,7 @@ def test_pell_pairs_distinct():
 
 
 # ---------------------------------------------------------------------------
-# determinism and threading
+# determinism
 # ---------------------------------------------------------------------------
 
 
@@ -339,14 +345,6 @@ def test_randomized_same_seed_same_results(qi):
     a = [w.a for w in search_primitive(qi, cfg)]
     b = [w.a for w in search_primitive(qi, cfg)]
     assert a == b
-
-
-def test_threads_do_not_change_results(galois_fields):
-    for E in galois_fields:
-        cfg = cfg_for("x", "x^2", count=10)
-        single = [w.a for w in search_normal(E, cfg, threads=1)]
-        multi = [w.a for w in search_normal(E, cfg, threads=4)]
-        assert single == multi
 
 
 def test_library_checks_survive_python_O():
