@@ -2,9 +2,10 @@
 
 Build a field E = Q[x]/(f) with make_field, then ask for automorphisms,
 primitive or normal generators, norm-one elements, or Pell solutions.  All
-arithmetic is exact (Fraction coefficients) and every answer ships with the
-certificate that makes it checkable: minimal polynomials, conjugate
-determinants, norm values.
+arithmetic is exact: field elements are integer numerators over one common
+denominator, and polynomials, rational matrices and the API boundary use
+``fractions.Fraction``.  Every answer ships with the certificate that makes
+it checkable: minimal polynomials, conjugate determinants, norm values.
 """
 
 from .errors import (

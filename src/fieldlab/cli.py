@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -82,6 +83,7 @@ _INVALID_INPUT_ERRORS = (
     ValueError,
 )
 _INTERNAL_CAP_ERRORS = (DegreeCapExceeded, PrecisionCapExceeded, NoSplitPrimeFound)
+_NEGATIVE_VALUE = re.compile(r"-[\dx(]")
 
 
 def rat_str(q) -> str:
@@ -402,7 +404,14 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes any token that starts with '-' for an option; a leading
+    # space keeps a negative polynomial or number a value (no option starts
+    # with '-' and a digit, 'x' or '('; parse_poly, Fraction and int all
+    # skip the space)
+    args = build_parser().parse_args(
+        [" " + a if _NEGATIVE_VALUE.match(a) else a for a in argv]
+    )
     started = time.monotonic()
     try:
         run = _Run(args)

@@ -18,7 +18,7 @@ from .galois import GaloisGroup, apply, conjugate_vector, galois_group
 from .linalg import EMatrix, QMatrix, rank_and_solve
 from .numberfield import FieldElem, NumberField
 from .polynomials import UPoly, squarefree_part
-from .representation import minpoly, trace, trace_gram
+from .representation import minpoly, trace_gram
 
 
 @dataclass(frozen=True)
@@ -44,38 +44,27 @@ class NormalReport:
 
 
 def is_primitive(E: NumberField, a: FieldElem) -> PrimitivityReport:
-    """a generates E iff its minimal polynomial has full degree (and is
-    squarefree, which is automatic in characteristic zero but still checked)."""
+    """a generates E iff its minimal polynomial has full degree n.
+
+    ``squarefree`` reports whether that polynomial is squarefree; over Q a
+    minimal polynomial is irreducible, so it always is when E is a field."""
     E._check_same(a.parent)
     mp = minpoly(a)
-    squarefree = squarefree_part(mp) == mp
     return PrimitivityReport(
         element=a,
         minpoly_degree=mp.degree,
-        squarefree=squarefree,
-        is_primitive=(mp.degree == E.degree and squarefree),
+        squarefree=squarefree_part(mp) == mp,
+        is_primitive=mp.degree == E.degree,
     )
 
 
 def is_separable_ext(E: NumberField) -> SeparabilityReport:
-    """Nondegeneracy of the trace form, with a one-line witness.
-
-    Two equivalent tests run and must agree: det(trace_gram) != 0, and some
-    power-basis element having nonzero trace (trace(1) = n already works in
-    characteristic zero; the agreement check keeps the general contract)."""
-    gram = trace_gram(E)
-    det = gram.det()
-    witness = -1
-    current = E.one()
-    for i in range(E.degree):
-        if trace(current) != 0:
-            witness = i
-            break
-        current = current * E.gen()
-    if (det != 0) != (witness >= 0):
-        raise AssertionError("trace-form tests disagree")
+    """E/Q is separable iff its trace form is nondegenerate: det(trace_gram)
+    != 0.  The witness power is always 0, since trace(1) = n != 0 in
+    characteristic 0."""
+    det = trace_gram(E).det()
     return SeparabilityReport(
-        gram_det=det, nonzero_trace_power=witness, is_separable=det != 0
+        gram_det=det, nonzero_trace_power=0, is_separable=det != 0
     )
 
 

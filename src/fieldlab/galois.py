@@ -64,9 +64,10 @@ def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
                      min_p: int = 2) -> SplitPrimeData:
     """Smallest prime p in [min_p, bound] at which f has n distinct roots.
 
-    Split test: x^p = x mod (f, p) plus gcd(f, f') = 1 mod p, which together
-    say f divides x^p - x with no repeated factor.  min_p exists so callers
-    can force a second, independent prime.
+    Split test: x^p = x mod (f, p) alone.  It says the monic f divides
+    x^p - x, the product of the p distinct linear factors x - t, so f has
+    n distinct roots mod p.  min_p exists so callers can force a second,
+    independent prime.
     """
     f = E.minpoly
     for p in primes_from(min_p):
@@ -76,17 +77,9 @@ def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
             fp = ModPoly.from_upoly(f, p)
         except ValueError:
             continue  # a denominator of f vanishes mod p
-        if fp.degree < E.degree:
-            continue
-        if fp.gcd(fp.derivative()).degree != 0:
-            continue
         x = ModPoly(p, [0, 1])
-        if x.powmod(p, fp) != x % fp:
-            continue
-        roots = tuple(t for t in range(p) if fp(t) == 0)
-        if len(roots) != E.degree:
-            continue
-        return SplitPrimeData(E, p, roots, 1)
+        if x.powmod(p, fp) == x % fp:
+            return SplitPrimeData(E, p, tuple(t for t in range(p) if fp(t) == 0), 1)
     raise NoSplitPrimeFound(bound)
 
 
@@ -163,11 +156,9 @@ def _matinv_mod(v: list[list[int]], modulus: int, p: int) -> list[list[int]]:
 
 
 def _root_label(aut: Automorphism, roots_mod_p: tuple[int, ...], p: int) -> int:
-    res = 0
-    for c in reversed(aut.r.coeffs):
-        den = c.denominator % p
-        res = (res * roots_mod_p[0] + c.numerator * pow(den, -1, p)) % p
-    return roots_mod_p.index(res)
+    # the root that aut sends the first root to, as an index into roots_mod_p
+    r = ModPoly.from_upoly(aut.r.as_poly(), p)
+    return roots_mod_p.index(r(roots_mod_p[0]))
 
 
 def automorphisms_with_diagnostics(

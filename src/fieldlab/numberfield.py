@@ -1,11 +1,12 @@
 """The extension E = Q[x]/(f) and exact arithmetic in its power basis.
 
 A ``NumberField`` is defined by a monic squarefree f with no rational root
-(degree >= 2) and carries an irreducibility certificate: either f was shown
-irreducible modulo some small prime (which proves irreducibility over Q),
-or it is ``AssumedIrreducible`` and any hidden factor of f will surface
-later as a ``ZeroDivisor`` witness during inversion.  Full factorization
-over Q is deliberately out of scope.
+(degree >= 2) and carries an irreducibility certificate: either f is
+irreducible modulo some small prime by Ben-Or's gcd test (which proves
+irreducibility over Q, since a monic f keeps its degree mod p), or it is
+``AssumedIrreducible`` and any hidden factor of f will surface later as a
+``ZeroDivisor`` witness during inversion.  Full factorization over Q is
+deliberately out of scope.
 
 Elements are coordinate vectors in the power basis 1, theta, ...,
 theta**(n-1), stored as integer numerators over one positive common
@@ -401,9 +402,9 @@ def make_field(
 
     Rejects constants, non-squarefree polynomials (witness: gcd(f, f')) and
     degree >= 2 polynomials with a rational root (witness: the root).  Then
-    scans primes up to cert_prime_bound for one modulo which f stays
-    squarefree and irreducible; failing that the field is built with
-    AssumedIrreducible.
+    scans primes up to cert_prime_bound for one modulo which the monic f is
+    irreducible (Ben-Or's test, which also rejects a repeated factor mod p);
+    failing that the field is built with AssumedIrreducible.
     """
     if f.is_zero or f.degree < 1:
         raise ConstantPolynomial(f"cannot build a field on {f!r}")
@@ -422,8 +423,6 @@ def make_field(
         try:
             fp = ModPoly.from_upoly(f, p)
         except ValueError:
-            continue
-        if fp.degree != f.degree or not mod_is_squarefree(fp):
             continue
         if mod_is_irreducible(fp):
             certificate = CertifiedModP(p)

@@ -8,9 +8,11 @@ Representation conventions:
    x**i.  The leading coefficient is nonzero; the zero polynomial is the
    empty tuple.  Values are immutable and hashable.
  - ``ModPoly`` is the image of an integer-coefficient polynomial modulo a
-   machine-word prime p (p < 2**62), used for irreducibility certificates
-   and split-prime detection.  Precision is raised by lifting the exponent
-   of p, never by switching to larger primes.
+   machine-word prime p (p < 2**62).  It carries the one modular test of
+   each property of f: irreducibility by Ben-Or's gcd test
+   (``mod_is_irreducible``), full splitting by x^p = x (mod f), and
+   squarefreeness by gcd(f, f') = 1 (``mod_is_squarefree``).  Precision is
+   raised by lifting the exponent of p, never by switching to larger primes.
 
 GCDs run on integerized primitive parts via pseudo-remainders, which keeps
 intermediate coefficients from blowing up.
@@ -503,43 +505,23 @@ def mod_is_squarefree(f: ModPoly) -> bool:
 
 
 def mod_is_irreducible(f: ModPoly) -> bool:
-    """Rabin's test over GF(p) for monic-izable f of degree >= 1."""
+    """Ben-Or's test over GF(p) for f of degree >= 1.
+
+    f is irreducible iff gcd(f, x^(p^i) - x) = 1 for i = 1..n/2: a reducible
+    f, squares included, has an irreducible factor of some degree d <= n/2,
+    and that factor divides x^(p^d) - x.  Stops at the first such factor.
+    """
     n = f.degree
     if n < 1:
         return False
-    if n == 1:
-        return True
     f = f.monic()
-    p = f.p
-    x = ModPoly(p, [0, 1])
-
-    def frob_power(e: int) -> ModPoly:
-        # x**(p**e) mod f
-        g = x
-        for _ in range(e):
-            g = g.powmod(p, f)
-        return g
-
-    if frob_power(n) != x % f:
-        return False
-    for ell in _prime_divisors(n):
-        if f.gcd(frob_power(n // ell) - x).degree != 0:
+    x = ModPoly(f.p, [0, 1])
+    frob = x  # x^(p^i) mod f
+    for _ in range(n // 2):
+        frob = frob.powmod(f.p, f)
+        if f.gcd(frob - x).degree != 0:
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _coeffs_mod(f: UPoly, modulus: int) -> list[int]:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .galois import GaloisGroup, galois_group
 from .numberfield import FieldElem, NumberField, make_field
-from .polynomials import UPoly, poly_eval, squarefree_part
+from .polynomials import UPoly, poly_eval
 from .representation import minpoly, norm
 
 DEFAULT_MAX_HEIGHT = 1000
@@ -175,9 +175,7 @@ def _collect(gen: Iterator[WitnessedElement], count: int) -> list[WitnessedEleme
 def _primitive_cert(E: NumberField, a: FieldElem) -> UPoly | None:
     # minpoly of a when a generates E, else None
     mp = minpoly(a)
-    if mp.degree != E.degree or squarefree_part(mp) != mp:
-        return None
-    return mp
+    return mp if mp.degree == E.degree else None
 
 
 def _certifier(

@@ -72,6 +72,16 @@ def test_analyze_text_mode(capsys):
     assert "galois: True" in out
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["analyze", "-x^2+2"], "field: x^2 - 2"),
+    (["pell", "--b", "-1/2", "--c", "3"], "b = -1/2, c = 3"),
+])
+def test_values_starting_with_minus_are_not_options(capsys, argv, shown):
+    # argparse alone reads "-x^2+2" and "-1/2" as unknown options (exit 2)
+    assert main(argv) == 0
+    assert shown in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -58,12 +58,7 @@ def argvs(draw):
 @given(argv=argvs())
 def test_every_command_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    except SystemExit as e:
-        # argparse takes a polynomial that starts with '-' for an unknown
-        # option and exits with its usage error, as the console script does
-        code = e.code
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in {0, 2, 3, 4, 5}, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -19,6 +19,7 @@ from fieldlab import (
     normal_det,
     parse_poly,
 )
+from fieldlab.numberfield import _force_field
 from conftest import field, random_elem
 
 
@@ -65,6 +66,18 @@ def test_separability_examples(qi):
     assert r.is_separable and r.gram_det == 8
     r = is_separable_ext(field("x-1"))
     assert r.is_separable and r.gram_det == 1
+
+
+def test_non_reduced_algebra_is_inseparable_not_an_error():
+    # Q[x]/(x^2) is no field: its trace form is degenerate although
+    # trace(1) = 2; the theta there still generates the algebra
+    E = _force_field(parse_poly("x^2"))
+    r = is_separable_ext(E)
+    assert not r.is_separable
+    assert r.gram_det == 0
+    assert r.nonzero_trace_power == 0
+    report = is_primitive(E, E.gen())
+    assert report.is_primitive and not report.squarefree
 
 
 def test_separability_all_reference_fields(reference_fields):

@@ -1,0 +1,113 @@
+"""sympy as an independent oracle for the modular tests of f: irreducibility
+mod p, the smallest split prime and the irreducibility certificate."""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from fieldlab import (  # noqa: E402
+    AssumedIrreducible,
+    CertifiedModP,
+    ModPoly,
+    NoSplitPrimeFound,
+    UPoly,
+    find_split_prime,
+    make_field,
+    mod_is_irreducible,
+    parse_poly,
+    poly_eval,
+)
+from fieldlab.polynomials import primes_from  # noqa: E402
+from conftest import REFERENCE_POLYS  # noqa: E402
+
+X = sympy.Symbol("x")
+
+# the defining polynomials of the benchmark workloads (perfbench/workloads.py)
+LADDER_POLYS = [
+    "x^2+1", "x^4-10*x^2+1", "x^4+x^3+x^2+x+1", "x^4+1",
+    "x^6+x^5+x^4+x^3+x^2+x+1", "x^6-2", "x^6+x^3+1", "x^8+1", "x^7-2",
+    "x^7-x-1", "x^3-2", "x^5-2", "x^8-2", "x^3-x-1",
+]
+# each field as written and shifted by x -> x+1, as the benchmark sends it
+FIELD_POLYS = sorted(
+    {poly_eval(parse_poly(t), UPoly([k, 1]))
+     for t in REFERENCE_POLYS + LADDER_POLYS for k in (0, 1)},
+    key=lambda f: f.coeffs,
+)
+SPLIT_BOUND = 1000  # above every split prime here; x^7-x-1 has none below it
+
+
+def sympy_irreducible(coeffs, p) -> bool:
+    return sympy.Poly(list(reversed(coeffs)), X, modulus=p).is_irreducible
+
+
+def int_coeffs(f: UPoly) -> list[int]:
+    # every polynomial here is monic with integer coefficients
+    return [int(c) for c in f.coeffs]
+
+
+def random_mod_polys(rng: random.Random):
+    # (p, coefficients low degree first, leading coefficient a unit mod p)
+    for p in (2, 3, 5, 7, 11, 101):
+        for degree in range(1, 9):
+            for _ in range(4):
+                lead = rng.randrange(1, p)
+                yield p, [rng.randrange(p) for _ in range(degree)] + [lead]
+        # squares and products of two factors, so repeated factors occur
+        for _ in range(12):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1]
+            h = g if rng.random() < 0.5 else (
+                [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1])
+            yield p, list((ModPoly(p, g) * ModPoly(p, h)).coeffs)
+
+
+def test_mod_irreducibility_matches_sympy():
+    cases = list(random_mod_polys(random.Random(4)))
+    # x^4+1 = (x^2+x+2)(x^2+2x+2) mod 3 has no root: only the last Ben-Or
+    # step, i = n/2, sees its factors
+    cases.append((3, [1, 0, 0, 0, 1]))
+    assert len(cases) > 250
+    verdicts = set()
+    for p, coeffs in cases:
+        ours = mod_is_irreducible(ModPoly(p, coeffs))
+        assert ours == sympy_irreducible(coeffs, p), (p, coeffs)
+        verdicts.add(ours)
+    assert verdicts == {True, False}
+
+
+def brute_force_split_prime(f: UPoly, bound: int):
+    # the smallest prime p <= bound at which f has deg f distinct roots,
+    # found by evaluating f at every residue
+    cs = int_coeffs(f)
+    for p in primes_from(2):
+        if p > bound:
+            return None
+        roots = tuple(t for t in range(p)
+                      if sum(c * pow(t, i, p) for i, c in enumerate(cs)) % p == 0)
+        if len(roots) == f.degree:
+            return p, roots
+
+
+@pytest.mark.parametrize("f", FIELD_POLYS, ids=str)
+def test_split_prime_matches_brute_force(f):
+    expected = brute_force_split_prime(f, SPLIT_BOUND)
+    E = make_field(f)
+    if expected is None:
+        with pytest.raises(NoSplitPrimeFound):
+            find_split_prime(E, SPLIT_BOUND)
+        return
+    data = find_split_prime(E, SPLIT_BOUND)
+    assert (data.p, data.lifted_roots) == expected
+
+
+@pytest.mark.parametrize("f", FIELD_POLYS, ids=str)
+def test_certificate_prime_matches_sympy(f):
+    cs = int_coeffs(f)
+    expected = next(p for p in primes_from(2) if p > 200 or sympy_irreducible(cs, p))
+    certificate = make_field(f).certificate
+    if expected > 200:
+        assert certificate == AssumedIrreducible()
+    else:
+        assert certificate == CertifiedModP(expected)
