@@ -16,6 +16,7 @@ hit (degree or p-adic precision).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -255,10 +256,12 @@ def _cmd_density_probe(run: _Run) -> tuple[dict, int]:
             raise ConstantPolynomial(f"constant polynomial in probe list: {h}")
     m = run.args.grid
     d = run.args.degree
-    grid = range(-m, m + 1)
-    points = [()]
-    for h in polys:
-        points = [p + (h(Fraction(t)),) for p in points for t in grid]
+    if d < 0:
+        raise ValueError(f"--degree must be at least 0, got {d}")
+    if m < 0:
+        raise ValueError(f"--grid must be at least 0, got {m}")
+    grid = [Fraction(t) for t in range(-m, m + 1)]
+    points = list(itertools.product(*([h(t) for t in grid] for h in polys)))
     verdict = no_low_degree_relation(points, d)
     report = {
         "polynomials": [format_poly(h) for h in polys],

@@ -4,18 +4,20 @@ Primitivity of a is tested purely through deg(minpoly(a)) = n — no splitting
 field is ever constructed.  Normality of a under a full automorphism group G
 is the nonvanishing of det[(sigma tau)(a)], equivalently the conjugates of a
 forming a Q-basis; both routes are implemented so each can serve as the
-other's oracle.
+other's oracle.  The density probe proves "no low-degree relation" by full
+column rank of the monomial matrix modulo a fixed prime and eliminates
+exactly over Q only when that rank falls short.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, prod
 
 from .errors import FieldMismatch, InsufficientSample, NotGalois
 from .galois import GaloisGroup, apply, conjugate_vector, galois_group
-from .linalg import EMatrix, QMatrix, rank_and_solve
+from .linalg import FILTER_PRIME, EMatrix, QMatrix, _rank_mod, rank_and_solve
 from .numberfield import FieldElem, NumberField
 from .polynomials import UPoly, squarefree_part
 from .representation import minpoly, trace_gram
@@ -142,7 +144,12 @@ def _monomials(m: int, d: int) -> list[tuple[int, ...]]:
 
 def no_low_degree_relation(points, d: int) -> bool:
     """True iff no nonzero polynomial of total degree <= d vanishes on all
-    the points: the monomial evaluation matrix has full column rank."""
+    the points: the monomial evaluation matrix has full column rank.
+
+    The rows are first reduced modulo FILTER_PRIME, one point at a time, and
+    full column rank there proves the answer True.  Only when that rank falls
+    short (a relation exists, or the prime is unlucky) or the prime divides a
+    denominator is the matrix eliminated exactly over Q."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
         raise InsufficientSample(1, 0)
@@ -153,13 +160,35 @@ def no_low_degree_relation(points, d: int) -> bool:
         raise AssertionError("monomial count differs from C(m+d, d)")
     if len(pts) < needed:
         raise InsufficientSample(needed, len(pts))
-    rows = []
-    for p in pts:
-        row = []
-        for expo in monos:
-            val = Fraction(1)
-            for base, e in zip(p, expo):
-                val *= base ** e
-            row.append(val)
-        rows.append(row)
+    if (
+        all(c.denominator % FILTER_PRIME for p in pts for c in p)
+        and _rank_mod(_rows_mod(pts, monos, d), FILTER_PRIME, needed) == needed
+    ):
+        return True
+    rows = [_monomial_row([[c ** e for e in range(d + 1)] for c in p], monos) for p in pts]
     return rank_and_solve(QMatrix(rows)).rank == needed
+
+
+def _rows_mod(pts, monos, d: int):
+    # The monomial rows modulo FILTER_PRIME, one point at a time, so that the
+    # rank kernel builds no row past the one that completes its rank.  Points
+    # are visited with a step near n / golden ratio and coprime to n:
+    # neighbouring points of a product grid share coordinates, so a run of
+    # them lies on a low-degree hypersurface and adds little rank, while
+    # strided points rarely do.
+    n = len(pts)
+    step = round(n * 0.618)
+    while gcd(step, n) != 1:
+        step += 1
+    for i in range(n):
+        point = pts[i * step % n]
+        residues = [c.numerator * pow(c.denominator, -1, FILTER_PRIME) % FILTER_PRIME
+                    for c in point]
+        yield _monomial_row(
+            [[pow(x, e, FILTER_PRIME) for e in range(d + 1)] for x in residues], monos
+        )
+
+
+def _monomial_row(tables, monos) -> list:
+    # the monomials at one point, from each coordinate's powers 1, c, ..., c^d
+    return [prod(t[e] for t, e in zip(tables, expo)) for expo in monos]

@@ -5,7 +5,9 @@ order), so ranks, solutions and kernels are bit-reproducible.  Determinants
 over Q go through fraction-free Bareiss elimination on integerized rows;
 determinants over a number field use Bareiss directly, inverting only the
 previous pivot (lazy inversion, which is where a hidden factor of an
-AssumedIrreducible polynomial would surface as ZeroDivisor).
+AssumedIrreducible polynomial would surface as ZeroDivisor).  A private
+kernel ranks integer rows modulo a fixed prime, a lower bound on their rank
+over Q that callers use as a filter in front of exact elimination.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ from .errors import DimensionMismatch
 from .numberfield import FieldElem, NumberField, _bareiss_int
 
 T = TypeVar("T")
+
+# The prime of the modular rank filter (_rank_mod): the Mersenne prime
+# 2^61 - 1.  A matrix of rank r over Q, its rows cleared of denominators, has
+# a smaller rank mod p only when p divides all of its r x r minors, which a
+# prime this large rarely does.
+FILTER_PRIME = (1 << 61) - 1
 
 
 class QMatrix:
@@ -238,6 +246,34 @@ def _solve(rows, ncols, rhs, zero, one) -> SolveResult:
 
 def matrix_rank(matrix) -> int:
     return rank_and_solve(matrix).rank
+
+
+def _rank_mod(rows, p: int, target: int) -> int:
+    """Rank modulo the prime p of integer rows, read one at a time until it
+    reaches target.
+
+    For an integer matrix the rank mod p is at most the rank over Q, so
+    reaching the number of columns proves full column rank over Q.  Each kept
+    row is reduced by the earlier ones and scaled so that its first nonzero
+    entry, in column c, is 1; it is kept from column c on.  A new row is then
+    reduced by one pass over the kept rows, taken mod p only at the end.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot column c, row[c:])
+    for row in rows:
+        row = list(row)
+        for c, b in basis:
+            f = row[c] % p
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], b)]
+        row = [x % p for x in row]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        inv = pow(row[c], -1, p)
+        basis.append((c, [x * inv % p for x in row[c:]]))
+        if len(basis) == target:
+            break
+    return len(basis)
 
 
 def qmatrix_det(m: QMatrix) -> Fraction:

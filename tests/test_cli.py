@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, JSON schema, re-verifiable documents, determinism."""
 
 import json
+import random
 import re
 import subprocess
 import sys
@@ -227,6 +228,45 @@ def test_density_probe(capsys):
 
 def test_density_probe_insufficient(capsys):
     assert main(["density-probe", "x;x^2;x^3", "--degree", "2", "--grid", "0"]) == 2
+
+
+@pytest.mark.parametrize("option", ["--degree", "--grid"])
+def test_density_probe_negative_option(capsys, option):
+    assert main(["density-probe", "x;x^2", option, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{option} must be at least 0, got -1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_density_probe_follows_alon(capsys, seed):
+    # the points are the product S_1 x S_2 x S_3 of the value sets
+    # S_i = h_i(grid); a relation of degree <= d vanishes on it iff some
+    # |S_i| <= d: the product of (y_i - s) over S_i, else Alon's
+    # Combinatorial Nullstellensatz
+    rng = random.Random(seed)
+    polys = [UPoly([rng.randint(-2, 2) for _ in range(k)] + [1]) for k in (1, 2, 3)]
+    grid, degree = 2, rng.randint(1, 4)
+    code, doc = run_json(
+        capsys, "density-probe", ";".join(str(h) for h in polys),
+        "--degree", str(degree), "--grid", str(grid),
+    )
+    assert code == 0
+    sizes = [len({poly_eval(h, Fraction(t)) for t in range(-grid, grid + 1)})
+             for h in polys]
+    report = doc["results"][0]
+    assert report["points"] == (2 * grid + 1) ** 3
+    assert report["no_relation"] is (min(sizes) > degree)
+
+
+def test_density_probe_large_grid_is_quick(capsys):
+    # a 2,197 x 84 monomial matrix, tens of seconds by exact elimination alone
+    started = time.monotonic()
+    code, doc = run_json(capsys, "density-probe", "x^2;x^3;x^5",
+                         "--degree", "6", "--grid", "6")
+    assert time.monotonic() - started < 10
+    assert code == 0
+    assert doc["results"][0]["no_relation"] is True
 
 
 # ---------------------------------------------------------------------------

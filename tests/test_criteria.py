@@ -19,6 +19,7 @@ from fieldlab import (
     normal_det,
     parse_poly,
 )
+from fieldlab.linalg import FILTER_PRIME
 from fieldlab.numberfield import _force_field
 from conftest import field, random_elem
 
@@ -208,3 +209,23 @@ def test_probe_catches_planted_quadratic_relation():
     pts = [(Fraction(t), Fraction(t * t)) for t in range(-10, 11)]
     assert no_low_degree_relation(pts, 1)
     assert not no_low_degree_relation(pts, 2)
+
+
+# The modular filter proves only "no relation"; each case below needs the
+# exact elimination behind it.
+P = FILTER_PRIME
+
+
+@pytest.mark.parametrize("points, d, expected", [
+    # rank 1 mod P (both points are 0 there) but 2 over Q
+    ([(0,), (P,)], 1, True),
+    ([(1, 2), (1 + P, 2), (1, 2 + P)], 1, True),
+    # P divides a denominator: no reduction mod P exists
+    ([(0,), (Fraction(1, P),)], 1, True),
+    ([(Fraction(1, P), 0), (0, 1), (1, 1)], 1, True),
+    # planted relations: x + y - 1 and y - x^2
+    ([(Fraction(1, P), 1 - Fraction(1, P)), (0, 1), (1, 0), (2, -1)], 1, False),
+    ([(t, t * t) for t in range(-3, 4)], 2, False),
+])
+def test_probe_exact_fallback(points, d, expected):
+    assert no_low_degree_relation(points, d) is expected
