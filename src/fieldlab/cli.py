@@ -140,6 +140,15 @@ class _Run:
         self.precision = None
         self.budget_exhausted = False
 
+    def budgeted(self, search) -> tuple[list, int]:
+        """search()'s results and exit code; when the height budget runs out,
+        its partial results, budget_exhausted set and EXIT_BUDGET."""
+        try:
+            return search(), EXIT_OK
+        except HeightCapExceeded as e:
+            self.budget_exhausted = True
+            return list(e.partial), EXIT_BUDGET
+
     def document(self, command: str, field: dict | None, results) -> dict:
         return {
             "schema_version": "1",
@@ -205,45 +214,25 @@ def _search_command(run: _Run, command: str) -> tuple[dict, int]:
         mode=run.mode,
     )
     engine = search_primitive if command == "primitive" else search_normal
-    code = EXIT_OK
-    try:
-        found = engine(E, cfg)
-    except HeightCapExceeded as e:
-        found = list(e.partial)
-        run.budget_exhausted = True
-        code = EXIT_BUDGET
+    found, code = run.budgeted(lambda: engine(E, cfg))
     return run.document(command, _field_json(E), [_witness_json(w) for w in found]), code
 
 
 def _cmd_norm_one(run: _Run) -> tuple[dict, int]:
     E = make_field(parse_poly(run.args.polynomial))
     engine = norm_one_normal if run.args.normal else norm_one_primitive
-    code = EXIT_OK
-    try:
-        found = engine(
-            E, run.args.count,
-            max_height=run.max_height, seed=run.seed, mode=run.mode,
-        )
-    except HeightCapExceeded as e:
-        found = list(e.partial)
-        run.budget_exhausted = True
-        code = EXIT_BUDGET
+    found, code = run.budgeted(lambda: engine(
+        E, run.args.count, max_height=run.max_height, seed=run.seed, mode=run.mode,
+    ))
     return run.document("norm-one", _field_json(E), [_witness_json(w) for w in found]), code
 
 
 def _cmd_pell(run: _Run) -> tuple[dict, int]:
     b = _rational_arg("--b", run.args.b)
     c = _rational_arg("--c", run.args.c)
-    code = EXIT_OK
-    try:
-        pairs = pell_solutions(
-            b, c, run.args.count,
-            max_height=run.max_height, seed=run.seed, mode=run.mode,
-        )
-    except HeightCapExceeded as e:
-        pairs = list(e.partial)
-        run.budget_exhausted = True
-        code = EXIT_BUDGET
+    pairs, code = run.budgeted(lambda: pell_solutions(
+        b, c, run.args.count, max_height=run.max_height, seed=run.seed, mode=run.mode,
+    ))
     results = [{"x": rat_str(x), "y": rat_str(y)} for x, y in pairs]
     field = {"form": "x^2 + b*x*y + c*y^2 = 1", "b": rat_str(b), "c": rat_str(c)}
     return run.document("pell", field, results), code

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
 
-from .errors import FieldMismatch, InsufficientSample, NotGalois
-from .galois import GaloisGroup, apply, conjugate_vector, galois_group
-from .linalg import FILTER_PRIME, EMatrix, QMatrix, _rank_mod, rank_and_solve
+from .errors import InsufficientSample, NotGalois
+from .galois import GaloisGroup, conjugate_vector, galois_group
+from .linalg import FILTER_PRIME, EMatrix, QMatrix, _rank_mod, field_det, rank_and_solve
 from .numberfield import FieldElem, NumberField
 from .polynomials import UPoly, squarefree_part
 from .representation import minpoly, trace_gram
@@ -90,12 +90,9 @@ def is_galois(E: NumberField, **options) -> bool:
 
 def normal_det(G: GaloisGroup, a: FieldElem) -> FieldElem:
     """det of the |G| x |G| matrix with entry (i, j) = (sigma_i sigma_j)(a)."""
-    if G.field != a.parent:
-        raise FieldMismatch("element does not live in the group's field")
-    conj = [apply(s, a) for s in G.elements]
-    n = G.order
-    matrix = EMatrix(G.field, [[conj[G.table[i][j]] for j in range(n)] for i in range(n)])
-    return matrix.det()
+    conj = conjugate_vector(G, a)
+    rows = [[conj[k] for k in row] for row in G.table]
+    return field_det(rows, G.field.zero(), G.field.one())
 
 
 def is_normal_generator(G: GaloisGroup, a: FieldElem) -> NormalReport:

@@ -6,7 +6,8 @@ generator, and r must be a root of f in E.  The engine finds every such r:
   1. pick a prime p where f splits into n distinct linear factors,
   2. Hensel-lift the n roots to precision p^k,
   3. for each permutation hypothesis pi of the root labels, solve the
-     Vandermonde congruence sum_i c_i m_t^i = m_pi(t) (mod p^k),
+     Vandermonde congruence sum_i c_i m_t^i = m_pi(t) (mod p^k) by Lagrange
+     interpolation, since f = prod (x - m_t) mod p^k,
   4. rationally reconstruct the c_i and verify f(sum c_i theta^i) = 0 in E
      exactly.
 
@@ -14,14 +15,14 @@ Verification makes every accepted automorphism unconditionally correct; the
 p-adic machinery is only a candidate generator.  Precision deepens (k
 doubles) until two consecutive rounds agree and the count divides n, so a
 miss would need an automorphism whose coefficient height jumps past two
-doublings at once.
+doublings at once.  An automorphism is keyed by r in its canonical integer
+form, so closing the group and tabulating it are set and dict lookups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .errors import (
@@ -113,21 +114,26 @@ class Automorphism:
 
     def __eq__(self, other):
         if isinstance(other, Automorphism):
-            return self.parent == other.parent and self.r.coeffs == other.r.coeffs
+            return self.r == other.r
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.parent, self.r.coeffs))
+        return hash(self.r)
 
     def __repr__(self):
         return f"Automorphism(θ ↦ {self.r})"
 
 
 def apply(s: Automorphism, a: FieldElem) -> FieldElem:
-    """sigma(a): substitute sigma(theta) into the power-basis form of a."""
+    """sigma(a): substitute sigma(theta) into the power-basis form of a,
+    by Horner on the integer numerators and one division by the denominator."""
     if s.parent != a.parent:
         raise FieldMismatch("automorphism and element live in different fields")
-    return poly_eval(a.as_poly(), s.r)
+    num = a.num
+    acc = s.parent.from_rational(num[-1])
+    for c in num[-2::-1]:
+        acc = acc * s.r + c
+    return acc / a.den
 
 
 def compose(s: Automorphism, t: Automorphism) -> Automorphism:
@@ -137,28 +143,26 @@ def compose(s: Automorphism, t: Automorphism) -> Automorphism:
     return Automorphism(s.parent, apply(s, t.r))
 
 
-def _matinv_mod(v: list[list[int]], modulus: int, p: int) -> list[list[int]]:
-    # v is invertible mod p, so a unit pivot always exists in each column
-    n = len(v)
-    work = [row[:] + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(v)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if work[i][col] % p != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, modulus)
-        work[col] = [c * inv % modulus for c in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                factor = work[i][col]
-                work[i] = [(a - factor * b) % modulus
-                           for a, b in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
 def _root_label(aut: Automorphism, roots_mod_p: tuple[int, ...], p: int) -> int:
     # the root that aut sends the first root to, as an index into roots_mod_p
-    r = ModPoly.from_upoly(aut.r.as_poly(), p)
-    return roots_mod_p.index(r(roots_mod_p[0]))
+    r = aut.r
+    image = ModPoly(p, r.num)(roots_mod_p[0]) * pow(r.den, -1, p) % p
+    return roots_mod_p.index(image)
+
+
+def _lagrange_columns(f: ModPoly, roots: tuple[int, ...]) -> list[list[int]]:
+    # column t of the inverse of V[t][i] = m_t^i mod f.p: the coefficients of
+    # q_t = f / (x - m_t) over the unit q_t(m_t) (the m_t are distinct mod p)
+    m = f.p
+    cols = []
+    for root in roots:
+        q = [1]  # synthetic division of the monic f by x - root, top down
+        for c in f.coeffs[-2:0:-1]:
+            q.append((c + root * q[-1]) % m)
+        q.reverse()
+        inv = pow(ModPoly(m, q)(root), -1, m)
+        cols.append([c * inv % m for c in q])
+    return cols
 
 
 def automorphisms_with_diagnostics(
@@ -177,28 +181,23 @@ def automorphisms_with_diagnostics(
     base = find_split_prime(E, prime_bound, min_prime)
     if n == 1:
         return [identity], base
-    found: dict[tuple, Automorphism] = {identity.r.coeffs: identity}
+    found = {identity}
     achieved = {_root_label(identity, base.lifted_roots, base.p)}
 
     def absorb(aut: Automorphism) -> None:
-        if aut.r.coeffs in found:
-            return
-        found[aut.r.coeffs] = aut
-        achieved.add(_root_label(aut, base.lifted_roots, base.p))
-        # close under composition; every product is again a root of f
-        while True:
-            existing = list(found.values())
-            new = []
-            for a in existing:
-                for b in existing:
-                    c = compose(a, b)
-                    if c.r.coeffs not in found:
-                        new.append(c)
-            if not new:
-                break
-            for c in new:
-                found[c.r.coeffs] = c
-                achieved.add(_root_label(c, base.lifted_roots, base.p))
+        # close under composition, each new element composed once with
+        # every known one but the identity, both ways; every product is
+        # again a root of f
+        todo = [aut]
+        while todo:
+            a = todo.pop()
+            if a in found:
+                continue
+            todo.extend(compose(a, b) for b in found if b is not identity)
+            todo.extend(compose(b, a) for b in found if b is not identity)
+            todo.append(compose(a, a))
+            found.add(a)
+            achieved.add(_root_label(a, base.lifted_roots, base.p))
 
     data = base
     k = _START_PRECISION
@@ -208,15 +207,13 @@ def automorphisms_with_diagnostics(
         modulus = data.modulus
         roots = data.lifted_roots
         bound = math.isqrt((modulus - 1) // 2)
-        vand = [[pow(m, i, modulus) for i in range(n)] for m in roots]
-        vinv = _matinv_mod(vand, modulus, data.p)
+        cols = _lagrange_columns(ModPoly.from_upoly(E.minpoly, modulus), roots)
         for pi in permutations(range(n)):
             if len(found) == n:
                 break
             if pi[0] in achieved:
                 continue
-            rhs = [roots[pi[t]] for t in range(n)]
-            residues = [sum(vinv[i][t] * rhs[t] for t in range(n)) % modulus
+            residues = [sum(cols[t][i] * roots[pi[t]] for t in range(n)) % modulus
                         for i in range(n)]
             coeffs = []
             for res in residues:
@@ -230,7 +227,7 @@ def automorphisms_with_diagnostics(
             if not poly_eval(E.minpoly, candidate).is_zero:
                 continue
             absorb(Automorphism(E, candidate))
-        sig = frozenset(found.keys())
+        sig = frozenset(found)
         if len(found) == n:
             break
         if sig == prev_sig and n % len(found) == 0:
@@ -241,7 +238,7 @@ def automorphisms_with_diagnostics(
             raise PrecisionCapExceeded(
                 f"automorphism reconstructions did not stabilize by p^{precision_cap}"
             )
-    ordered = sorted(found.values(), key=lambda a: a.r.coeffs)
+    ordered = sorted(found, key=lambda a: a.r.coeffs)
     ordered.remove(identity)
     return [identity] + ordered, data
 
@@ -255,7 +252,9 @@ class GaloisGroup:
     """Automorphism group of a Galois field with its composition table.
 
     elements[0] is the identity; table[i][j] is the index of
-    elements[i] composed with elements[j].
+    elements[i] composed with elements[j], found by looking up
+    elements[i](elements[j].r) among the verified elements (KeyError if the
+    elements are not closed under composition).
     """
 
     __slots__ = ("field", "elements", "table")
@@ -263,9 +262,9 @@ class GaloisGroup:
     def __init__(self, field: NumberField, elements: list[Automorphism]):
         self.field = field
         self.elements = tuple(elements)
-        index = {a.r.coeffs: i for i, a in enumerate(self.elements)}
+        index = {a.r: i for i, a in enumerate(self.elements)}
         self.table = tuple(
-            tuple(index[compose(a, b).r.coeffs] for b in self.elements)
+            tuple(index[apply(a, b.r)] for b in self.elements)
             for a in self.elements
         )
 

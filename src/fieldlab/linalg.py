@@ -1,13 +1,14 @@
-"""Exact matrices over Q and over a number field, with one elimination kernel.
+"""Exact matrices over Q and over a number field, and every elimination kernel.
 
 Row reduction uses deterministic pivoting (first nonzero entry in column
-order), so ranks, solutions and kernels are bit-reproducible.  Determinants
-over Q go through fraction-free Bareiss elimination on integerized rows;
+order), so ranks, solutions and kernels are bit-reproducible.  Fraction-free
+Bareiss elimination (``_bareiss_int``) gives determinants over Q on
+integerized rows and solves the integer systems of ``numberfield.invert``;
 determinants over a number field use Bareiss directly, inverting only the
-previous pivot (lazy inversion, which is where a hidden factor of an
-AssumedIrreducible polynomial would surface as ZeroDivisor).  A private
-kernel ranks integer rows modulo a fixed prime, a lower bound on their rank
-over Q that callers use as a filter in front of exact elimination.
+previous pivot (lazy inversion, where a hidden factor of an
+AssumedIrreducible polynomial surfaces as ZeroDivisor).  A private kernel
+ranks integer rows modulo a fixed prime, a lower bound on their rank over Q
+that callers use as a filter in front of exact elimination.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Generic, Sequence, TypeVar
+from typing import TYPE_CHECKING, Generic, Sequence, TypeVar
 
 from .errors import DimensionMismatch
-from .numberfield import FieldElem, NumberField, _bareiss_int
+
+if TYPE_CHECKING:
+    from .numberfield import FieldElem, NumberField
 
 T = TypeVar("T")
 
@@ -274,6 +277,36 @@ def _rank_mod(rows, p: int, target: int) -> int:
         if len(basis) == target:
             break
     return len(basis)
+
+
+def _bareiss_int(a: list[list[int]]) -> int:
+    """det of the leading n x n block of the n-row integer matrix a.
+
+    Fraction-free Bareiss elimination in place; columns past n (right-hand
+    sides) are carried along, so a solvable [M | b] ends as [U | b'] with U
+    upper triangular, U[n-1][n-1] = +-det M and the same solutions.
+    Returns 0 as soon as M is seen to be singular.
+    """
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pk = pivot_row[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pk - aik * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pk
+    return sign * a[n - 1][n - 1]
 
 
 def qmatrix_det(m: QMatrix) -> Fraction:

@@ -33,6 +33,7 @@ from .errors import (
     RationalRoot,
     ZeroDivisor,
 )
+from .linalg import _bareiss_int
 from .polynomials import (
     ModPoly,
     UPoly,
@@ -363,36 +364,6 @@ def invert(a: FieldElem) -> FieldElem:
         acc = u * row[n] - sum(row[j] * z[j] for j in range(i + 1, n))
         z[i] = acc // row[i]
     return _canonical(E, [a.den * rden**j * c for j, c in enumerate(z)], u)
-
-
-def _bareiss_int(a: list[list[int]]) -> int:
-    """det of the leading n x n block of the n-row integer matrix a.
-
-    Fraction-free Bareiss elimination in place; columns past n (right-hand
-    sides) are carried along, so a solvable [M | b] ends as [U | b'] with U
-    upper triangular, U[n-1][n-1] = +-det M and the same solutions.
-    Returns 0 as soon as M is seen to be singular.
-    """
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        pk = pivot_row[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            aik = row[k]
-            for j in range(k + 1, len(row)):
-                row[j] = (row[j] * pk - aik * pivot_row[j]) // prev
-            row[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
 
 
 def make_field(

@@ -7,10 +7,12 @@ Representation conventions:
  - ``UPoly`` stores a dense tuple of Fractions, index i = coefficient of
    x**i.  The leading coefficient is nonzero; the zero polynomial is the
    empty tuple.  Values are immutable and hashable.
- - ``ModPoly`` is the image of an integer-coefficient polynomial modulo a
-   machine-word prime p (p < 2**62).  It carries the one modular test of
-   each property of f: irreducibility by Ben-Or's gcd test
-   (``mod_is_irreducible``), full splitting by x^p = x (mod f), and
+ - ``ModPoly`` is the image of a polynomial modulo any integer m >= 2.
+   Reduction, arithmetic and evaluation work for every m, so the p-adic
+   code evaluates modulo p^k with the same class; only ``gcd``, ``monic``,
+   ``%`` and ``powmod`` need m prime.  Modulo a prime it carries the one
+   modular test of each property of f: irreducibility by Ben-Or's gcd
+   test (``mod_is_irreducible``), full splitting by x^p = x (mod f), and
    squarefreeness by gcd(f, f') = 1 (``mod_is_squarefree``).  Precision is
    raised by lifting the exponent of p, never by switching to larger primes.
 
@@ -27,8 +29,6 @@ from typing import Iterable, Sequence
 from .errors import BoundTooLargeForModulus, ZeroPolynomial
 
 Rat = Fraction
-
-_MAX_MODPOLY_PRIME = 1 << 62
 
 
 def _to_rat(c) -> Fraction:
@@ -384,13 +384,12 @@ def primes_from(start: int):
 
 
 class ModPoly:
-    """Polynomial over GF(p), coefficients as residues in [0, p)."""
+    """Polynomial over Z/pZ for any modulus p >= 2, coefficients as residues
+    in [0, p); gcd, monic, % and powmod need p prime."""
 
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Iterable[int]):
-        if p >= _MAX_MODPOLY_PRIME:
-            raise ValueError("ModPoly primes must fit in a machine word (p < 2**62)")
         cs = [c % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -399,7 +398,7 @@ class ModPoly:
 
     @classmethod
     def from_upoly(cls, f: UPoly, p: int) -> "ModPoly":
-        """Reduce f mod p; ValueError if a denominator is divisible by p."""
+        """Reduce f mod p; ValueError if a denominator is not invertible mod p."""
         out = []
         for c in f.coeffs:
             if c.denominator % p == 0:
@@ -524,21 +523,6 @@ def mod_is_irreducible(f: ModPoly) -> bool:
     return True
 
 
-def _coeffs_mod(f: UPoly, modulus: int) -> list[int]:
-    out = []
-    for c in f.coeffs:
-        den = c.denominator % modulus
-        out.append(c.numerator * pow(den, -1, modulus) % modulus)
-    return out
-
-
-def _eval_mod(coeffs: list[int], x: int, modulus: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
-    return acc
-
-
 def newton_lift(
     f: UPoly, roots: Sequence[int], p: int, k: int, target_k: int
 ) -> tuple[int, ...]:
@@ -553,11 +537,8 @@ def newton_lift(
     while k < target_k:
         k *= 2
         modulus = p ** k
-        fc = _coeffs_mod(f, modulus)
-        fpc = _coeffs_mod(fprime, modulus)
-        for i, r in enumerate(out):
-            fr = _eval_mod(fc, r, modulus)
-            dfr = _eval_mod(fpc, r, modulus)
-            out[i] = (r - fr * pow(dfr, -1, modulus)) % modulus
+        fm = ModPoly.from_upoly(f, modulus)
+        dfm = ModPoly.from_upoly(fprime, modulus)
+        out = [(r - fm(r) * pow(dfm(r), -1, modulus)) % modulus for r in out]
     final = p ** target_k
     return tuple(r % final for r in out)

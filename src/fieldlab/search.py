@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
 from .criteria import normal_det
@@ -127,10 +127,11 @@ def enumerate_candidates(E: NumberField, cfg: SearchConfig) -> Iterator[FieldEle
             yield E.element(vec)
 
 
-def _proj_key(coeffs) -> tuple:
-    # canonical representative of the Q^x-orbit of a nonzero vector
-    lead = next(c for c in coeffs if c != 0)
-    return tuple(Fraction(c) / lead for c in coeffs)
+def _proj_key(a: FieldElem) -> tuple[int, ...]:
+    # the Q^x-orbit of a nonzero element: its numerators over their gcd,
+    # signed so that the first nonzero one is positive
+    g = gcd(*a.num) if next(c for c in a.num if c) > 0 else -gcd(*a.num)
+    return tuple(c // g for c in a.num)
 
 
 def _hits(
@@ -153,7 +154,7 @@ def _hits(
         w = certify(cand)
         if w is None:
             continue
-        ray = _proj_key(w.a.coeffs)
+        ray = _proj_key(w.a)
         if ray in hit_rays:
             continue
         hit_rays.add(ray)
@@ -229,16 +230,14 @@ def search_primitive(E: NumberField, cfg: SearchConfig) -> list[WitnessedElement
 
 
 def distinct_mod_scalars(results: Sequence[FieldElem]) -> bool:
-    """No two elements differ only by a rational factor (pairwise rank-2)."""
-    from .linalg import QMatrix, rank_and_solve
-
+    """No two elements differ only by a rational factor (pairwise rank 2):
+    no element is zero and there are as many distinct rays through the
+    origin as elements.  Fewer than two elements form no pair."""
     elems = list(results)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            m = QMatrix([list(elems[i].coeffs), list(elems[j].coeffs)])
-            if rank_and_solve(m).rank != 2:
-                return False
-    return True
+    if len(elems) < 2:
+        return True
+    return (not any(a.is_zero for a in elems)
+            and len({_proj_key(a) for a in elems}) == len(elems))
 
 
 def search_normal(E: NumberField, cfg: SearchConfig) -> list[WitnessedElement]:

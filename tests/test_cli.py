@@ -147,6 +147,26 @@ def test_exit_4_with_partial_results(capsys):
     assert len(doc["results"]) > 0
 
 
+def test_exit_4_norm_one_with_partial_results(capsys):
+    code, doc = run_json(capsys, "norm-one", "x^2+1", "--count", "1000000",
+                         "--max-height", "2")
+    assert code == 4
+    assert doc["diagnostics"]["budget_exhausted"] is True
+    assert len(doc["results"]) > 0
+    assert all(item["norm_value"] == "1/1" for item in doc["results"])
+
+
+def test_exit_4_pell_with_partial_results(capsys):
+    code, doc = run_json(capsys, "pell", "--b", "1", "--c=-1", "--count", "1000000",
+                         "--max-height", "2")
+    assert code == 4
+    assert doc["diagnostics"]["budget_exhausted"] is True
+    assert len(doc["results"]) > 0
+    for item in doc["results"]:
+        x, y = Fraction(item["x"]), Fraction(item["y"])
+        assert x * x + x * y - y * y == 1
+
+
 def test_exit_5_on_degree_cap(capsys):
     assert main(["analyze", "x^2+1", "--degree-cap", "1"]) == 5
 

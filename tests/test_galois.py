@@ -7,6 +7,7 @@ import pytest
 
 from fieldlab import (
     DegreeCapExceeded,
+    ModPoly,
     NotGalois,
     apply,
     automorphisms,
@@ -19,6 +20,7 @@ from fieldlab import (
     parse_poly,
     poly_eval,
 )
+from fieldlab.galois import _lagrange_columns
 from conftest import field, random_elem
 
 
@@ -274,3 +276,52 @@ def test_automorphisms_fix_rationals(galois_fields):
         G = galois_group(E)
         c = E.from_rational(rng.randint(-20, 20))
         assert all(v == c for v in conjugate_vector(G, c))
+
+
+def test_table_matches_compose_order_8():
+    # x^8+1 shifted by x -> x+1: Gal(Q(zeta_16)/Q) = Z/2 x Z/4, abelian and
+    # not cyclic, the largest group in the benchmark's normal searches
+    E = field("x^8+8*x^7+28*x^6+56*x^5+70*x^4+56*x^3+28*x^2+8*x+2")
+    G = galois_group(E)
+    assert G.order == 8
+    for i, s in enumerate(G.elements):
+        for j, t in enumerate(G.elements):
+            assert compose(s, t) == G.elements[G.table[i][j]]
+            assert G.table[i][j] == G.table[j][i]
+
+    def elem_order(i):
+        k, j = 1, i
+        while j != 0:
+            j = G.table[j][i]
+            k += 1
+        return k
+
+    assert sorted(elem_order(i) for i in range(8)) == [1, 2, 2, 2, 4, 4, 4, 4]
+
+
+def test_automorphism_identity_across_fields():
+    # an automorphism is its image r: equal and equally hashed across two
+    # builds of the same field, distinct from the same r in another field
+    first = automorphisms(field("x^4+1"))
+    second = automorphisms(field("x^4+1"))
+    assert first[0].parent is not second[0].parent
+    assert first == second
+    assert [hash(a) for a in first] == [hash(b) for b in second]
+    assert len(set(first) | set(second)) == 4
+    assert first[1] != first[2]
+    qi, q2 = automorphisms(field("x^2+1")), automorphisms(field("x^2+2"))
+    assert qi[1].r.num == q2[1].r.num
+    assert qi[1] != q2[1]
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_lagrange_columns_invert_the_vandermonde(reference_fields, k):
+    # V[t][i] = m_t^i times the Lagrange columns is the identity mod p^k
+    for E in reference_fields:
+        data = hensel_lift(find_split_prime(E), k)
+        m, roots, n = data.modulus, data.lifted_roots, E.degree
+        cols = _lagrange_columns(ModPoly.from_upoly(E.minpoly, m), roots)
+        for t, root in enumerate(roots):
+            for s in range(n):
+                entry = sum(pow(root, i, m) * cols[s][i] for i in range(n)) % m
+                assert entry == (1 if s == t else 0)

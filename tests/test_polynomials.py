@@ -17,6 +17,7 @@ from fieldlab import (
     rational_reconstruct,
     squarefree_part,
 )
+from fieldlab.polynomials import newton_lift
 from conftest import random_upoly
 
 
@@ -297,3 +298,28 @@ def test_x4_plus_1_reducible_mod_every_small_prime():
 def test_from_upoly_rejects_bad_denominator():
     with pytest.raises(ValueError):
         ModPoly.from_upoly(UPoly([Fraction(1, 5), Fraction(1)]), 5)
+
+
+def test_modpoly_modulo_a_prime_power_past_a_machine_word():
+    # 73^16 > 2^62: reduction and evaluation modulo any m agree with Fraction
+    # arithmetic, and Newton lifting reaches that precision (x^8-2 splits mod 73)
+    m = 73**16
+    assert m > 2**62
+    rng = random.Random(7316)
+    for _ in range(40):
+        f = random_upoly(rng, max_deg=8, span=10**6)
+        if any(c.denominator % 73 == 0 for c in f.coeffs):
+            continue
+        fm = ModPoly.from_upoly(f, m)
+        assert all(
+            (c.numerator - r * c.denominator) % m == 0
+            for c, r in zip(f.coeffs, fm.coeffs + (0,) * len(f.coeffs))
+        )
+        x = rng.randrange(m)
+        value = f(Fraction(x))
+        assert (value.numerator - fm(x) * value.denominator) % m == 0
+    f = P(-2, 0, 0, 0, 0, 0, 0, 0, 1)
+    roots = [t for t in range(73) if ModPoly.from_upoly(f, 73)(t) == 0]
+    assert len(roots) == 8
+    for r in newton_lift(f, roots, 73, 1, 16):
+        assert 0 <= r < m and (r**8 - 2) % m == 0

@@ -182,8 +182,11 @@ def test_budget_carries_partial(qi):
 def test_distinct_mod_scalars_examples(qi):
     th = qi.gen()
     assert not distinct_mod_scalars([th, 2 * th])
+    assert not distinct_mod_scalars([1 + th, (1 + th) * Fraction(-7, 2)])
+    assert not distinct_mod_scalars([qi.zero(), th])
     assert distinct_mod_scalars([th, 1 + th])
     assert distinct_mod_scalars([th])
+    assert distinct_mod_scalars([]) and distinct_mod_scalars([qi.zero()])
 
 
 # ---------------------------------------------------------------------------
