@@ -10,7 +10,7 @@ except for the diagnostics.timings block.
 Exit codes: 0 success; 2 invalid input (syntax error, reducible polynomial,
 square discriminant, bad sample); 3 not Galois where the command requires it;
 4 search budget exhausted (partial results are still emitted); 5 internal cap
-hit (degree or p-adic precision).
+hit (degree, p-adic precision, or no split prime while |Aut| may exceed 1).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .criteria import is_separable_ext, no_low_degree_relation
 from .errors import (
@@ -131,8 +132,11 @@ class _Run:
         self.args = args
         self.seed = _resolve(args.seed, "FIELDLAB_SEED", 0)
         self.max_height = _resolve(args.max_height, "FIELDLAB_MAX_HEIGHT", DEFAULT_MAX_HEIGHT)
-        self.degree_cap = _resolve(args.degree_cap, "FIELDLAB_DEGREE_CAP", DEFAULT_DEGREE_CAP)
-        self.prime_bound = args.prime_bound if args.prime_bound is not None else DEFAULT_PRIME_BOUND
+        # the automorphism options of analyze, normal and norm-one --normal
+        self.aut_options = {
+            "degree_cap": _resolve(args.degree_cap, "FIELDLAB_DEGREE_CAP", DEFAULT_DEGREE_CAP),
+            "prime_bound": DEFAULT_PRIME_BOUND if args.prime_bound is None else args.prime_bound,
+        }
         self.mode = "randomized" if args.randomized else "deterministic"
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
@@ -188,9 +192,7 @@ def _parse_set(raw: str) -> tuple[UPoly, ...]:
 
 def _cmd_analyze(run: _Run) -> tuple[dict, int]:
     E = make_field(parse_poly(run.args.polynomial))
-    auts, data = automorphisms_with_diagnostics(
-        E, degree_cap=run.degree_cap, prime_bound=run.prime_bound
-    )
+    auts, data = automorphisms_with_diagnostics(E, **run.aut_options)
     run.prime, run.precision = data.p, data.precision
     sep = is_separable_ext(E)
     report = {
@@ -213,14 +215,15 @@ def _search_command(run: _Run, command: str) -> tuple[dict, int]:
         seed=run.seed,
         mode=run.mode,
     )
-    engine = search_primitive if command == "primitive" else search_normal
+    engine = (search_primitive if command == "primitive"
+              else partial(search_normal, **run.aut_options))
     found, code = run.budgeted(lambda: engine(E, cfg))
     return run.document(command, _field_json(E), [_witness_json(w) for w in found]), code
 
 
 def _cmd_norm_one(run: _Run) -> tuple[dict, int]:
     E = make_field(parse_poly(run.args.polynomial))
-    engine = norm_one_normal if run.args.normal else norm_one_primitive
+    engine = partial(norm_one_normal, **run.aut_options) if run.args.normal else norm_one_primitive
     found, code = run.budgeted(lambda: engine(
         E, run.args.count, max_height=run.max_height, seed=run.seed, mode=run.mode,
     ))
@@ -338,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max field degree for automorphism search "
                              "(env FIELDLAB_DEGREE_CAP, default 8)")
     common.add_argument("--prime-bound", type=int, default=None,
-                        help="largest prime tried when splitting f (default 10000)")
+                        help="largest prime scanned for root counts of f "
+                             "and a split prime (default 10000)")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted; the search is serial")
 

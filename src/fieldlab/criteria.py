@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
 
-from .errors import InsufficientSample, NotGalois
-from .galois import GaloisGroup, conjugate_vector, galois_group
+from .errors import InsufficientSample
+from .galois import GaloisGroup, automorphisms, conjugate_vector
 from .linalg import FILTER_PRIME, EMatrix, QMatrix, _rank_mod, field_det, rank_and_solve
 from .numberfield import FieldElem, NumberField
 from .polynomials import UPoly, squarefree_part
@@ -71,21 +71,8 @@ def is_separable_ext(E: NumberField) -> SeparabilityReport:
 
 
 def is_galois(E: NumberField, **options) -> bool:
-    """True iff the automorphism count equals the degree; cross-checked by the
-    conjugate vectors of the power basis spanning E^n."""
-    try:
-        G = galois_group(E, **options)
-    except NotGalois:
-        return False
-    basis = []
-    current = E.one()
-    for _ in range(E.degree):
-        basis.append(current)
-        current = current * E.gen()
-    rank = density_rank([conjugate_vector(G, b) for b in basis])
-    if rank != E.degree:
-        raise AssertionError("full group but conjugate vectors do not span")
-    return True
+    """True iff the proved automorphism count equals the degree."""
+    return len(automorphisms(E, **options)) == E.degree
 
 
 def normal_det(G: GaloisGroup, a: FieldElem) -> FieldElem:

@@ -86,7 +86,8 @@ class DegreeCapExceeded(FieldlabError):
 
 
 class PrecisionCapExceeded(FieldlabError):
-    """p-adic reconstructions failed to stabilize below the precision cap."""
+    """p-adic reconstructions did not prove the automorphism count below the
+    precision cap."""
 
 
 class NotGalois(FieldlabError):

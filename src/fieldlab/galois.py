@@ -3,8 +3,10 @@
 An automorphism of E = Q[x]/(f) is determined by the image r of the
 generator, and r must be a root of f in E.  The engine finds every such r:
 
-  1. pick a prime p where f splits into n distinct linear factors,
-  2. Hensel-lift the n roots to precision p^k,
+  1. scan the primes p where f mod p is defined and squarefree, counting
+     the roots of f mod p, until one count is 1 or one prime splits f into
+     n distinct linear factors,
+  2. Hensel-lift the n roots at the split prime to precision p^k,
   3. for each permutation hypothesis pi of the root labels, solve the
      Vandermonde congruence sum_i c_i m_t^i = m_pi(t) (mod p^k) by Lagrange
      interpolation, since f = prod (x - m_t) mod p^k,
@@ -12,11 +14,17 @@ generator, and r must be a root of f in E.  The engine finds every such r:
      exactly.
 
 Verification makes every accepted automorphism unconditionally correct; the
-p-adic machinery is only a candidate generator.  Precision deepens (k
-doubles) until two consecutive rounds agree and the count divides n, so a
-miss would need an automorphism whose coefficient height jumps past two
-doublings at once.  An automorphism is keyed by r in its canonical integer
-form, so closing the group and tabulating it are set and dict lookups.
+p-adic machinery is only a candidate generator.  The count is proved by the
+root counts of the scan: where f is squarefree mod p and has a root m,
+sigma -> sigma(theta) mod (p, theta - m) is injective into the roots of f
+mod p, so the least such count b bounds |Aut|.  A count of 1 proves
+Aut = {id} at once.  Otherwise the maps found are closed under composition,
+so they form a subgroup whose order divides |Aut| <= b, and the walk stops
+as soon as twice their number exceeds b.  Short of that, the scan first
+draws more primes, which can only lower b, and precision deepens (k
+doubles) only once the scan has reached its bound.  An automorphism is
+keyed by r in its canonical integer form, so closing the group and
+tabulating it are set and dict lookups.
 """
 
 from __future__ import annotations
@@ -31,12 +39,15 @@ from .errors import (
     NoSplitPrimeFound,
     NotGalois,
     PrecisionCapExceeded,
+    ZeroDivisor,
 )
 from .numberfield import FieldElem, NumberField
 from .polynomials import (
     ModPoly,
+    mod_is_squarefree,
     newton_lift,
     poly_eval,
+    poly_gcd,
     primes_from,
     rational_reconstruct,
 )
@@ -49,7 +60,8 @@ _START_PRECISION = 8
 
 @dataclass(frozen=True)
 class SplitPrimeData:
-    """A fully split prime with its roots lifted to precision p^k."""
+    """A prime with the roots of f modulo it lifted to precision p^k: all n
+    roots at a split prime, the one root at a prime that proves Aut = {id}."""
 
     field: NumberField
     p: int
@@ -61,26 +73,36 @@ class SplitPrimeData:
         return self.p ** self.precision
 
 
-def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
-                     min_p: int = 2) -> SplitPrimeData:
-    """Smallest prime p in [min_p, bound] at which f has n distinct roots.
-
-    Split test: x^p = x mod (f, p) alone.  It says the monic f divides
-    x^p - x, the product of the p distinct linear factors x - t, so f has
-    n distinct roots mod p.  min_p exists so callers can force a second,
-    independent prime.
-    """
-    f = E.minpoly
+def _root_counts(f, min_p: int, bound: int):
+    # (p, f mod p, r) for the primes p in [min_p, bound] where f mod p is
+    # defined, has r >= 1 distinct roots and is squarefree: r = deg gcd(f,
+    # x^p - x), and r = n says x^p = x mod (f, p), that is, f splits
     for p in primes_from(min_p):
         if p > bound:
-            raise NoSplitPrimeFound(bound)
+            return
         try:
             fp = ModPoly.from_upoly(f, p)
         except ValueError:
             continue  # a denominator of f vanishes mod p
         x = ModPoly(p, [0, 1])
-        if x.powmod(p, fp) == x % fp:
-            return SplitPrimeData(E, p, tuple(t for t in range(p) if fp(t) == 0), 1)
+        count = fp.gcd(x.powmod(p, fp) - x % fp).degree
+        if count and mod_is_squarefree(fp):
+            yield p, fp, count
+
+
+def _roots_at(E: NumberField, p: int, fp: ModPoly) -> SplitPrimeData:
+    return SplitPrimeData(E, p, tuple(t for t in range(p) if fp(t) == 0), 1)
+
+
+def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
+                     min_p: int = 2) -> SplitPrimeData:
+    """Smallest prime p in [min_p, bound] at which f has n distinct roots:
+    the first prime of the root-count scan whose count is n.  min_p exists
+    so callers can force a second, independent prime.
+    """
+    for p, fp, count in _root_counts(E.minpoly, min_p, bound):
+        if count == E.degree:
+            return _roots_at(E, p, fp)
     raise NoSplitPrimeFound(bound)
 
 
@@ -173,16 +195,30 @@ def automorphisms_with_diagnostics(
     min_prime: int = 2,
     precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> tuple[list[Automorphism], SplitPrimeData]:
-    """All automorphisms in canonical order plus the split-prime data used."""
+    """All automorphisms in canonical order plus the prime data used: the
+    split prime at the final precision, or the one-root prime at precision 1
+    when that root alone proves Aut = {id}.
+
+    ZeroDivisor if two maps agree at the split prime, which no two distinct
+    automorphisms of a field do: f is then reducible, and the gcd of f with
+    their difference is a proper factor."""
     n = E.degree
     if n > degree_cap:
         raise DegreeCapExceeded(n, degree_cap)
     identity = Automorphism(E, E.gen())
-    base = find_split_prime(E, prime_bound, min_prime)
-    if n == 1:
-        return [identity], base
+    scan = _root_counts(E.minpoly, min_prime, prime_bound)
+    b = n  # the least root count so far, a bound on |Aut|
+    for p, fp, count in scan:
+        b = min(b, count)
+        if b == 1:
+            return [identity], _roots_at(E, p, fp)
+        if count == n:
+            base = _roots_at(E, p, fp)
+            break
+    else:
+        raise NoSplitPrimeFound(prime_bound)
     found = {identity}
-    achieved = {_root_label(identity, base.lifted_roots, base.p)}
+    achieved = {_root_label(identity, base.lifted_roots, base.p): identity}
 
     def absorb(aut: Automorphism) -> None:
         # close under composition, each new element composed once with
@@ -193,23 +229,25 @@ def automorphisms_with_diagnostics(
             a = todo.pop()
             if a in found:
                 continue
-            todo.extend(compose(a, b) for b in found if b is not identity)
-            todo.extend(compose(b, a) for b in found if b is not identity)
+            label = _root_label(a, base.lifted_roots, base.p)
+            if label in achieved:
+                raise ZeroDivisor(poly_gcd(E.minpoly, (a.r - achieved[label].r).as_poly()))
+            todo.extend(compose(a, s) for s in found if s is not identity)
+            todo.extend(compose(s, a) for s in found if s is not identity)
             todo.append(compose(a, a))
             found.add(a)
-            achieved.add(_root_label(a, base.lifted_roots, base.p))
+            achieved[label] = a
 
     data = base
     k = _START_PRECISION
-    prev_sig: frozenset | None = None
     while True:
         data = hensel_lift(data, k)
         modulus = data.modulus
         roots = data.lifted_roots
-        bound = math.isqrt((modulus - 1) // 2)
+        height = math.isqrt((modulus - 1) // 2)
         cols = _lagrange_columns(ModPoly.from_upoly(E.minpoly, modulus), roots)
         for pi in permutations(range(n)):
-            if len(found) == n:
+            if 2 * len(found) > b:
                 break
             if pi[0] in achieved:
                 continue
@@ -217,7 +255,7 @@ def automorphisms_with_diagnostics(
                         for i in range(n)]
             coeffs = []
             for res in residues:
-                c = rational_reconstruct(res, modulus, bound)
+                c = rational_reconstruct(res, modulus, height)
                 if c is None:
                     break
                 coeffs.append(c)
@@ -227,16 +265,15 @@ def automorphisms_with_diagnostics(
             if not poly_eval(E.minpoly, candidate).is_zero:
                 continue
             absorb(Automorphism(E, candidate))
-        sig = frozenset(found)
-        if len(found) == n:
+        # more primes before more precision: each can only lower b
+        while 2 * len(found) <= b and (drawn := next(scan, None)):
+            b = min(b, drawn[2])
+        if 2 * len(found) > b:
             break
-        if sig == prev_sig and n % len(found) == 0:
-            break
-        prev_sig = sig
         k *= 2
         if k > precision_cap:
             raise PrecisionCapExceeded(
-                f"automorphism reconstructions did not stabilize by p^{precision_cap}"
+                f"automorphism count not proved by p^{precision_cap}"
             )
     ordered = sorted(found, key=lambda a: a.r.coeffs)
     ordered.remove(identity)

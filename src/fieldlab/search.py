@@ -240,10 +240,11 @@ def distinct_mod_scalars(results: Sequence[FieldElem]) -> bool:
             and len({_proj_key(a) for a in elems}) == len(elems))
 
 
-def search_normal(E: NumberField, cfg: SearchConfig) -> list[WitnessedElement]:
+def search_normal(E: NumberField, cfg: SearchConfig, **options) -> list[WitnessedElement]:
     """First count elements a with every h(a) both a generator and a normal
-    generator (conjugate orbit a basis).  Requires a Galois field."""
-    G = galois_group(E)
+    generator (conjugate orbit a basis).  Requires a Galois field; options
+    (degree_cap, prime_bound) go to galois_group."""
+    G = galois_group(E, **options)
     if E.degree == 1:
         return _degree_one(E, cfg, G)
     return _collect(_hits(E, cfg, _certifier(E, cfg.S, G), 1), cfg.count)
@@ -309,12 +310,14 @@ def norm_one_normal(
     max_height: int = DEFAULT_MAX_HEIGHT,
     seed: int = 0,
     mode: str = "deterministic",
+    **options,
 ) -> list[WitnessedElement]:
     """count distinct elements that generate E, have norm 1, and whose
-    conjugate orbit is a Q-basis; Galois fields only."""
+    conjugate orbit is a Q-basis; Galois fields only.  options (degree_cap,
+    prime_bound) go to galois_group."""
     if E.degree == 1:
         raise TrivialExtension("norm-one generators need degree at least 2")
-    G = galois_group(E)
+    G = galois_group(E, **options)
     return _collect(_norm_one_engine(E, count, G, max_height, seed, mode), count)
 
 

@@ -66,6 +66,17 @@ def test_analyze_non_galois_is_reported_not_an_error(capsys):
     assert doc["results"][0]["galois"] is False
 
 
+@pytest.mark.parametrize("polynomial", ["x^7-x-1", "x^8-x-1"])
+def test_analyze_proves_trivial_group_without_split_prime(capsys, polynomial):
+    code, doc = run_json(capsys, "analyze", polynomial)
+    assert code == 0
+    report = doc["results"][0]
+    assert report["automorphism_count"] == 1
+    assert report["galois"] is False
+    # the one-root prime that proves Aut = {id}, at precision 1
+    assert doc["diagnostics"]["precision"] == 1
+
+
 def test_analyze_text_mode(capsys):
     code, out = run_cli(capsys, "analyze", "x^2+1")
     assert code == 0
@@ -95,6 +106,12 @@ def test_exit_2_on_syntax_error(capsys):
 def test_exit_2_on_reducible(capsys):
     assert main(["analyze", "x^2-1"]) == 2
     assert main(["primitive", "x^2-2*x+1", "--count", "1"]) == 2
+
+
+def test_exit_2_names_the_factor_two_maps_share(capsys):
+    # x^4+4 = (x^2+2x+2)(x^2-2x+2): two of its maps agree at the split prime
+    assert main(["analyze", "x^4+4"]) == 2
+    assert "x^2 + 2*x + 2" in capsys.readouterr().err
 
 
 def test_exit_2_on_square_discriminant(capsys):
@@ -139,6 +156,11 @@ def test_exit_3_on_not_galois(capsys):
     assert main(["norm-one", "x^3-2", "--count", "1", "--normal"]) == 3
 
 
+def test_exit_3_on_trivial_group_without_split_prime(capsys):
+    # no prime <= 10000 splits x^7-x-1; one with a single root proves Aut = {id}
+    assert main(["normal", "x^7-x-1"]) == 3
+
+
 def test_exit_4_with_partial_results(capsys):
     code, doc = run_json(capsys, "primitive", "x^2+1", "--count", "1000000",
                          "--max-height", "2")
@@ -169,6 +191,20 @@ def test_exit_4_pell_with_partial_results(capsys):
 
 def test_exit_5_on_degree_cap(capsys):
     assert main(["analyze", "x^2+1", "--degree-cap", "1"]) == 5
+
+
+@pytest.mark.parametrize("command", [("normal", "x^4+1"), ("norm-one", "x^4+1", "--normal")])
+@pytest.mark.parametrize("option", [("--degree-cap", "2"), ("--prime-bound", "3")])
+def test_normal_commands_take_the_automorphism_options(capsys, command, option):
+    # x^4+1 first splits mod 17
+    assert main([*command, *option]) == 5
+    assert main(list(command)) == 0
+
+
+def test_normal_commands_take_the_env_degree_cap(capsys, monkeypatch):
+    monkeypatch.setenv("FIELDLAB_DEGREE_CAP", "2")
+    assert main(["normal", "x^4+1"]) == 5
+    assert main(["norm-one", "x^4+1", "--normal"]) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from fieldlab import (
     DegreeCapExceeded,
     ModPoly,
     NotGalois,
+    PrecisionCapExceeded,
+    UPoly,
+    ZeroDivisor,
     apply,
     automorphisms,
     automorphisms_with_diagnostics,
@@ -17,10 +20,12 @@ from fieldlab import (
     find_split_prime,
     galois_group,
     hensel_lift,
+    make_field,
     parse_poly,
     poly_eval,
 )
 from fieldlab.galois import _lagrange_columns
+from fieldlab.polynomials import mod_is_squarefree, primes_from
 from conftest import field, random_elem
 
 
@@ -154,6 +159,72 @@ def test_diagnostics_report_prime(qi):
     assert data.p == 5
     assert len(auts) == 2
     assert data.precision >= 1
+
+
+# ---------------------------------------------------------------------------
+# the root-count bound and the stop rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, p", [("x^7-2", 3), ("x^7-x-1", 5), ("x^8-x-1", 19)])
+def test_one_root_proves_the_group_trivial(text, p):
+    # x^7-x-1 and x^8-x-1 split at no prime below 10000
+    auts, data = automorphisms_with_diagnostics(field(text))
+    assert len(auts) == 1 and auts[0].is_identity
+    assert (data.p, data.precision, len(data.lifted_roots)) == (p, 1, 1)
+
+
+def test_more_primes_before_more_precision():
+    # x^3-x+3 splits mod 3 before any prime with one root; the walk at p^8
+    # finds the identity alone, and p = 7, with one root, then proves it all
+    auts, data = automorphisms_with_diagnostics(field("x^3-x+3"), precision_cap=8)
+    assert len(auts) == 1
+    assert (data.p, data.precision) == (3, 8)
+
+
+def test_unproved_count_hits_the_precision_cap():
+    # below 7 the bound for x^3-x+3 stays 3, which one map cannot prove
+    with pytest.raises(PrecisionCapExceeded):
+        automorphisms(field("x^3-x+3"), prime_bound=5, precision_cap=16)
+
+
+def test_non_galois_count_in_one_round():
+    E = field("x^6-2")
+    auts, data = automorphisms_with_diagnostics(E)
+    assert {a.r for a in auts} == {E.gen(), -E.gen()}
+    assert data.precision == 8
+
+
+def test_count_waits_for_the_precision_it_needs():
+    # Q(i) written as x^2+1 shifted by x -> x + 10^9: the conjugation has
+    # coefficients near 2*10^9, beyond p^8 and p^16 at p = 5, so the
+    # identity alone is found in two rounds, which prove nothing
+    E = make_field(poly_eval(parse_poly("x^2+1"), UPoly([10**9, 1])))
+    auts, data = automorphisms_with_diagnostics(E)
+    assert len(auts) == 2
+    assert (data.p, data.precision) == (5, 32)
+
+
+def test_shared_root_label_exposes_a_factor():
+    # x^4+4 = (x^2+2x+2)(x^2-2x+2) is reducible modulo every prime, so no
+    # certificate rejects it; two of its maps agree at the split prime
+    with pytest.raises(ZeroDivisor) as e:
+        automorphisms(field("x^4+4"))
+    assert e.value.factor == parse_poly("x^2+2*x+2")
+
+
+def test_root_counts_are_multiples_of_the_group_order(reference_fields):
+    # where f is squarefree mod p, Aut(E) acts freely on the roots of f mod p
+    fields = reference_fields + [field("x^4-2"), field("x^6-2"), field("x^3-x+3")]
+    for E in fields:
+        order = len(automorphisms(E))
+        for p in primes_from(2):
+            if p > 200:
+                break
+            fp = ModPoly(p, [int(c) for c in E.minpoly.coeffs])
+            count = sum(1 for t in range(p) if fp(t) == 0)
+            if count and mod_is_squarefree(fp):
+                assert count % order == 0, (E, p, count)
 
 
 # ---------------------------------------------------------------------------

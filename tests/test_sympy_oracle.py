@@ -1,7 +1,9 @@
 """sympy as an independent oracle for the modular tests of f: irreducibility
-mod p, the smallest split prime and the irreducibility certificate."""
+mod p, the smallest split prime and the irreducibility certificate; and for
+the automorphism group, from the linear factors of f over E."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +15,7 @@ from fieldlab import (  # noqa: E402
     ModPoly,
     NoSplitPrimeFound,
     UPoly,
+    automorphisms,
     find_split_prime,
     make_field,
     mod_is_irreducible,
@@ -111,3 +114,39 @@ def test_certificate_prime_matches_sympy(f):
         assert certificate == AssumedIrreducible()
     else:
         assert certificate == CertifiedModP(expected)
+
+
+def random_irreducible_polys(rng: random.Random, count: int) -> list[UPoly]:
+    # monic, degree 3 to 6, coefficients in -3..3, irreducible over Q
+    out: set[UPoly] = set()
+    while len(out) < count:
+        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(3, 6))] + [1]
+        if sympy.Poly(list(reversed(coeffs)), X).is_irreducible:
+            out.add(UPoly(coeffs))
+    return sorted(out, key=lambda f: f.coeffs)
+
+
+AUT_POLYS = ([f for f in FIELD_POLYS if f.degree <= 6]
+             + random_irreducible_polys(random.Random(7), 30))
+
+
+def sympy_automorphisms(f: UPoly) -> set[tuple]:
+    # the roots of f in K = Q(theta), theta = CRootOf(f, 0): the linear
+    # factors of f over K, each root as its coefficients in theta
+    g = sympy.Poly(list(reversed(int_coeffs(f))), X)
+    K = sympy.QQ.algebraic_field(sympy.AlgebraicNumber(sympy.CRootOf(g, 0)))
+    assert [int(c) for c in K.mod.to_list()] == g.all_coeffs()
+    images = set()
+    for factor, _ in sympy.Poly(g, X, domain=K).factor_list()[1]:
+        if factor.degree() == 1:
+            lead, const = factor.rep.to_list()
+            root = (-const / lead).to_list()[::-1]
+            root += [0] * (f.degree - len(root))
+            images.add(tuple(Fraction(int(c.numerator), int(c.denominator)) for c in root))
+    return images
+
+
+@pytest.mark.parametrize("f", AUT_POLYS, ids=str)
+def test_automorphisms_match_sympy(f):
+    ours = {tuple(a.r.coeffs) for a in automorphisms(make_field(f))}
+    assert ours == sympy_automorphisms(f)
