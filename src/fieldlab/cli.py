@@ -10,7 +10,7 @@ except for the diagnostics.timings block.
 Exit codes: 0 success; 2 invalid input (syntax error, reducible polynomial,
 square discriminant, bad sample); 3 not Galois where the command requires it;
 4 search budget exhausted (partial results are still emitted); 5 internal cap
-hit (degree, p-adic precision, or no split prime while |Aut| may exceed 1).
+hit (degree cap, or no split prime while |Aut| may exceed 1).
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 from .criteria import is_separable_ext, no_low_degree_relation
 from .errors import (
-    BoundTooLargeForModulus,
     ConstantPolynomial,
     DegreeCapExceeded,
     EmptyInput,
@@ -39,7 +39,6 @@ from .errors import (
     NotGalois,
     NotSquarefree,
     PolySyntaxError,
-    PrecisionCapExceeded,
     RationalRoot,
     TrivialExtension,
     ZeroDivisor,
@@ -81,10 +80,9 @@ _INVALID_INPUT_ERRORS = (
     TrivialExtension,
     InsufficientSample,
     ZeroDivisor,
-    BoundTooLargeForModulus,
     ValueError,
 )
-_INTERNAL_CAP_ERRORS = (DegreeCapExceeded, PrecisionCapExceeded, NoSplitPrimeFound)
+_INTERNAL_CAP_ERRORS = (DegreeCapExceeded, NoSplitPrimeFound)
 _NEGATIVE_VALUE = re.compile(r"-[\dx(]")
 
 
@@ -252,6 +250,10 @@ def _cmd_density_probe(run: _Run) -> tuple[dict, int]:
         raise ValueError(f"--degree must be at least 0, got {d}")
     if m < 0:
         raise ValueError(f"--grid must be at least 0, got {m}")
+    # the grid has (2m+1)^k points: too few is decided before any is built
+    needed, got = comb(len(polys) + d, d), (2 * m + 1) ** len(polys)
+    if got < needed:
+        raise InsufficientSample(needed, got)
     grid = [Fraction(t) for t in range(-m, m + 1)]
     points = list(itertools.product(*([h(t) for t in grid] for h in polys)))
     verdict = no_low_degree_relation(points, d)

@@ -138,12 +138,12 @@ def no_low_degree_relation(points, d: int) -> bool:
     if not pts:
         raise InsufficientSample(1, 0)
     m = len(pts[0])
-    monos = _monomials(m, d)
     needed = comb(m + d, d)
-    if len(monos) != needed:
-        raise AssertionError("monomial count differs from C(m+d, d)")
     if len(pts) < needed:
         raise InsufficientSample(needed, len(pts))
+    monos = _monomials(m, d)
+    if len(monos) != needed:
+        raise AssertionError("monomial count differs from C(m+d, d)")
     if (
         all(c.denominator % FILTER_PRIME for p in pts for c in p)
         and _rank_mod(_rows_mod(pts, monos, d), FILTER_PRIME, needed) == needed

@@ -19,7 +19,9 @@ class ZeroPolynomial(FieldlabError):
 
 
 class BoundTooLargeForModulus(FieldlabError):
-    """rational_reconstruct called with 2*bound**2 >= modulus."""
+    """rational_reconstruct called with a bound outside 1 <= bound < m/2.
+    Only that public function raises it; no command reconstructs
+    rationals."""
 
 
 # --- number field construction and arithmetic ---------------------------
@@ -86,7 +88,8 @@ class DegreeCapExceeded(FieldlabError):
 
 
 class PrecisionCapExceeded(FieldlabError):
-    """p-adic reconstructions did not prove the automorphism count below the
+    """Kept for callers that catch it; nothing in fieldlab raises it.  The
+    automorphism walk lifts once to a precision proven from f, so it has no
     precision cap."""
 
 

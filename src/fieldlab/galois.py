@@ -6,23 +6,32 @@ generator, and r must be a root of f in E.  The engine finds every such r:
   1. scan the primes p where f mod p is defined and squarefree, counting
      the roots of f mod p, until one count is 1 or one prime splits f into
      n distinct linear factors,
-  2. Hensel-lift the n roots at the split prime to precision p^k,
-  3. for each permutation hypothesis pi of the root labels, solve the
-     Vandermonde congruence sum_i c_i m_t^i = m_pi(t) (mod p^k) by Lagrange
-     interpolation, since f = prod (x - m_t) mod p^k,
-  4. rationally reconstruct the c_i and verify f(sum c_i theta^i) = 0 in E
-     exactly.
+  2. Hensel-lift the n roots at the split prime, once, to a precision p^k
+     proven from f alone (below),
+  3. for each permutation hypothesis pi of the root labels, read the integer
+     coefficients of H = F'(theta')*sigma(theta') from the Lagrange form
+     sum_t m_pi(t) F/(y - m_t) mod p^k, and
+  4. verify f(r) = 0 in E exactly for r = H(theta') / (D F'(theta')).
 
-Verification makes every accepted automorphism unconditionally correct; the
-p-adic machinery is only a candidate generator.  The count is proved by the
-root counts of the scan: where f is squarefree mod p and has a root m,
-sigma -> sigma(theta) mod (p, theta - m) is injective into the roots of f
-mod p, so the least such count b bounds |Aut|.  A count of 1 proves
-Aut = {id} at once.  Otherwise the maps found are closed under composition,
-so they form a subgroup whose order divides |Aut| <= b, and the walk stops
-as soon as twice their number exceeds b.  Short of that, the scan first
-draws more primes, which can only lower b, and precision deepens (k
-doubles) only once the scan has reached its bound.  An automorphism is
+Here D is the lcm of the denominators of f, theta' = D theta, and
+F = D^n f(y/D) is the monic integer polynomial of theta'.  By Euler's lemma
+the trace dual of Z[theta'] is F'(theta')^-1 Z[theta'] (Serre, *Local
+Fields*, III 6); sigma(theta') is integral, so H has integer coefficients.
+Over C, H_i = sum_t alpha_pi(t) [F/(y - alpha_t)]_i, and every root alpha of
+F has |alpha| < B = 1 + max |F_j| (Cauchy), so |H_i| <= n B C(n-1, i)
+B^(n-1-i).  At the least k with p^k above twice every such bound, the
+symmetric residue of each coefficient is the true H_i of every
+automorphism, and a hypothesis with a coefficient out of bound is no
+automorphism.  Verification makes every accepted map unconditionally
+correct, and a walk over all permutations finds every automorphism, so a
+completed walk proves the count by itself.
+
+The root counts of the scan stop the walk early: where f is squarefree mod
+p and has a root m, sigma -> sigma(theta) mod (p, theta - m) is injective
+into the roots of f mod p, so the least such count b bounds |Aut|.  A count
+of 1 proves Aut = {id} at once.  Otherwise the maps found are closed under
+composition, so they form a subgroup whose order divides |Aut| <= b, and
+the walk stops as soon as twice their number exceeds b.  An automorphism is
 keyed by r in its canonical integer form, so closing the group and
 tabulating it are set and dict lookups.
 """
@@ -38,7 +47,6 @@ from .errors import (
     FieldMismatch,
     NoSplitPrimeFound,
     NotGalois,
-    PrecisionCapExceeded,
     ZeroDivisor,
 )
 from .numberfield import FieldElem, NumberField
@@ -49,13 +57,10 @@ from .polynomials import (
     poly_eval,
     poly_gcd,
     primes_from,
-    rational_reconstruct,
 )
 
 DEFAULT_DEGREE_CAP = 8
 DEFAULT_PRIME_BOUND = 10_000
-DEFAULT_PRECISION_CAP = 512
-_START_PRECISION = 8
 
 
 @dataclass(frozen=True)
@@ -173,8 +178,8 @@ def _root_label(aut: Automorphism, roots_mod_p: tuple[int, ...], p: int) -> int:
 
 
 def _lagrange_columns(f: ModPoly, roots: tuple[int, ...]) -> list[list[int]]:
-    # column t of the inverse of V[t][i] = m_t^i mod f.p: the coefficients of
-    # q_t = f / (x - m_t) over the unit q_t(m_t) (the m_t are distinct mod p)
+    # column t holds the coefficients of q_t = f / (x - m_t) mod f.p, so that
+    # q_t(m_s) = delta_st * f'(m_t) when f = prod (x - m_t)
     m = f.p
     cols = []
     for root in roots:
@@ -182,8 +187,7 @@ def _lagrange_columns(f: ModPoly, roots: tuple[int, ...]) -> list[list[int]]:
         for c in f.coeffs[-2:0:-1]:
             q.append((c + root * q[-1]) % m)
         q.reverse()
-        inv = pow(ModPoly(m, q)(root), -1, m)
-        cols.append([c * inv % m for c in q])
+        cols.append(q)
     return cols
 
 
@@ -193,11 +197,17 @@ def automorphisms_with_diagnostics(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     min_prime: int = 2,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> tuple[list[Automorphism], SplitPrimeData]:
     """All automorphisms in canonical order plus the prime data used: the
-    split prime at the final precision, or the one-root prime at precision 1
-    when that root alone proves Aut = {id}.
+    split prime at the one precision the walk ran at, or the one-root prime
+    at precision 1 when that root alone proves Aut = {id}.
+
+    The precision is the least k with p^k above twice Euler's bound on the
+    integer coefficients of H = F'(theta')*sigma(theta') (module docstring),
+    so the walk recovers H exactly for every automorphism.  A walk that
+    tries every permutation has therefore found all of Aut(E), and one that
+    stops early has found a subgroup of more than half the root-count bound
+    b; either way the count is proved.
 
     ZeroDivisor if two maps agree at the split prime, which no two distinct
     automorphisms of a field do: f is then reducible, and the gcd of f with
@@ -206,9 +216,8 @@ def automorphisms_with_diagnostics(
     if n > degree_cap:
         raise DegreeCapExceeded(n, degree_cap)
     identity = Automorphism(E, E.gen())
-    scan = _root_counts(E.minpoly, min_prime, prime_bound)
     b = n  # the least root count so far, a bound on |Aut|
-    for p, fp, count in scan:
+    for p, fp, count in _root_counts(E.minpoly, min_prime, prime_bound):
         b = min(b, count)
         if b == 1:
             return [identity], _roots_at(E, p, fp)
@@ -238,43 +247,40 @@ def automorphisms_with_diagnostics(
             found.add(a)
             achieved[label] = a
 
-    data = base
-    k = _START_PRECISION
-    while True:
-        data = hensel_lift(data, k)
-        modulus = data.modulus
-        roots = data.lifted_roots
-        height = math.isqrt((modulus - 1) // 2)
-        cols = _lagrange_columns(ModPoly.from_upoly(E.minpoly, modulus), roots)
-        for pi in permutations(range(n)):
-            if 2 * len(found) > b:
-                break
-            if pi[0] in achieved:
-                continue
-            residues = [sum(cols[t][i] * roots[pi[t]] for t in range(n)) % modulus
-                        for i in range(n)]
-            coeffs = []
-            for res in residues:
-                c = rational_reconstruct(res, modulus, height)
-                if c is None:
-                    break
-                coeffs.append(c)
-            if len(coeffs) < n:
-                continue
-            candidate = E.element(coeffs)
-            if not poly_eval(E.minpoly, candidate).is_zero:
-                continue
-            absorb(Automorphism(E, candidate))
-        # more primes before more precision: each can only lower b
-        while 2 * len(found) <= b and (drawn := next(scan, None)):
-            b = min(b, drawn[2])
+    f = E.minpoly
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    F = [int(c * den ** (n - i)) for i, c in enumerate(f.coeffs)]
+    cauchy = 1 + max(map(abs, F))
+    bounds = [n * cauchy * math.comb(n - 1, i) * cauchy ** (n - 1 - i) for i in range(n)]
+    k = 1
+    while base.p ** k <= 2 * max(bounds):
+        k += 1
+    data = hensel_lift(base, k)
+    modulus = data.modulus
+    roots = [den * m % modulus for m in data.lifted_roots]  # the roots of F
+    cols = _lagrange_columns(ModPoly(modulus, F), roots)
+    # r = H(den*theta) / (den^n f'(theta)), as F'(den*theta) = den^(n-1) f'(theta)
+    scale = 1 / (E.reduce_poly(f.derivative()) * den ** n)
+    for pi in permutations(range(n)):
         if 2 * len(found) > b:
             break
-        k *= 2
-        if k > precision_cap:
-            raise PrecisionCapExceeded(
-                f"automorphism count not proved by p^{precision_cap}"
-            )
+        if pi[0] in achieved:
+            continue
+        images = [roots[j] for j in pi]
+        # H_(n-1) = trace(theta') = -F_(n-1) whatever pi is; below it, the
+        # top coefficients have the least bounds and reject most pi
+        H = [0] * (n - 1) + [-F[n - 1] * den ** (n - 1)]
+        for i in reversed(range(n - 1)):
+            h = sum(col[i] * m for col, m in zip(cols, images)) % modulus
+            if h > modulus // 2:
+                h -= modulus
+            if abs(h) > bounds[i]:
+                break
+            H[i] = h * den ** i
+        else:
+            candidate = E.element(H) * scale
+            if poly_eval(f, candidate).is_zero:
+                absorb(Automorphism(E, candidate))
     ordered = sorted(found, key=lambda a: a.r.coeffs)
     ordered.remove(identity)
     return [identity] + ordered, data

@@ -1,5 +1,6 @@
 """Shared fixtures: the reference fields and seeded random element factories."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,27 @@ GALOIS_POLYS = ["x^2+1", "x^2-2", "x^4-10*x^2+1", "x^4+x^3+x^2+x+1", "x^4+1"]
 
 def field(text: str) -> NumberField:
     return make_field(parse_poly(text))
+
+
+def euler_bounds(E: NumberField) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators of f, and the bounds n*B*C(n-1, i)*B^(n-1-i)
+    on coefficient i of F'(theta')*sigma(theta') in powers of theta' = D*theta,
+    where F = D^n f(y/D) is monic integral and B = 1 + max |F_j|."""
+    f, n = E.minpoly, E.degree
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    B = 1 + max(abs(c) * D ** (n - i) for i, c in enumerate(f.coeffs))
+    return D, [n * B * math.comb(n - 1, i) * B ** (n - 1 - i) for i in range(n)]
+
+
+def check_euler_coordinates(E: NumberField, automorphisms) -> None:
+    """Each D^n*f'(theta)*sigma(theta) = F'(theta')*sigma(theta') has integer
+    coordinates in the basis 1, theta', ..., theta'^(n-1), each within its bound."""
+    D, bounds = euler_bounds(E)
+    fprime = E.reduce_poly(E.minpoly.derivative()) * D ** E.degree
+    for s in automorphisms:
+        coords = [c / D ** i for i, c in enumerate((fprime * s.r).coeffs)]
+        assert all(c.denominator == 1 for c in coords), (E, s, coords)
+        assert all(abs(c) <= b for c, b in zip(coords, bounds)), (E, s, coords)
 
 
 @pytest.fixture(scope="session")

@@ -286,6 +286,17 @@ def test_density_probe_insufficient(capsys):
     assert main(["density-probe", "x;x^2;x^3", "--degree", "2", "--grid", "0"]) == 2
 
 
+def test_density_probe_too_few_points_is_refused_quickly(capsys):
+    # 3^10 = 59,049 grid points against C(22, 12) = 646,646 monomials: the
+    # count alone decides, before any point or monomial is built
+    started = time.monotonic()
+    code = main(["density-probe", ";".join(f"x^{i}" for i in range(1, 11)),
+                 "--degree", "12", "--grid", "1"])
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert "need at least 646646 sample points, got 59049" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option", ["--degree", "--grid"])
 def test_density_probe_negative_option(capsys, option):
     assert main(["density-probe", "x;x^2", option, "-1"]) == 2

@@ -1,6 +1,7 @@
 """Split primes, Hensel lifting, automorphism recovery, and group structure."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -9,7 +10,6 @@ from fieldlab import (
     DegreeCapExceeded,
     ModPoly,
     NotGalois,
-    PrecisionCapExceeded,
     UPoly,
     ZeroDivisor,
     apply,
@@ -24,9 +24,22 @@ from fieldlab import (
     parse_poly,
     poly_eval,
 )
-from fieldlab.galois import _lagrange_columns
+from fieldlab.galois import DEFAULT_PRIME_BOUND, _lagrange_columns
 from fieldlab.polynomials import mod_is_squarefree, primes_from
-from conftest import field, random_elem
+from conftest import check_euler_coordinates, euler_bounds, field, random_elem
+
+RATIONAL_POLYS = ["x^2+1/4", "x^4+1/16", "x^4-5/2*x^2+1/16"]
+
+
+def shifted(text: str, k: int):
+    # the field of f(x + k)
+    return make_field(poly_eval(parse_poly(text), UPoly([k, 1])))
+
+
+def assert_proven_precision(E, data):
+    # p^k is the least power of p above twice every Euler bound
+    top = 2 * max(euler_bounds(E)[1])
+    assert data.p ** data.precision > top >= data.p ** (data.precision - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,35 +187,53 @@ def test_one_root_proves_the_group_trivial(text, p):
     assert (data.p, data.precision, len(data.lifted_roots)) == (p, 1, 1)
 
 
-def test_more_primes_before_more_precision():
-    # x^3-x+3 splits mod 3 before any prime with one root; the walk at p^8
-    # finds the identity alone, and p = 7, with one root, then proves it all
-    auts, data = automorphisms_with_diagnostics(field("x^3-x+3"), precision_cap=8)
-    assert len(auts) == 1
-    assert (data.p, data.precision) == (3, 8)
-
-
-def test_unproved_count_hits_the_precision_cap():
-    # below 7 the bound for x^3-x+3 stays 3, which one map cannot prove
-    with pytest.raises(PrecisionCapExceeded):
-        automorphisms(field("x^3-x+3"), prime_bound=5, precision_cap=16)
+@pytest.mark.parametrize("prime_bound", [DEFAULT_PRIME_BOUND, 5])
+def test_complete_walk_proves_the_count(prime_bound):
+    # x^3-x+3 splits mod 3 before any prime with one root (7 is the first),
+    # so the root-count bound stays 3; the walk over every permutation at the
+    # proven precision finds the identity alone, and that proves the count
+    E = field("x^3-x+3")
+    auts, data = automorphisms_with_diagnostics(E, prime_bound=prime_bound)
+    assert len(auts) == 1 and auts[0].is_identity
+    assert data.p == 3
+    assert_proven_precision(E, data)
 
 
 def test_non_galois_count_in_one_round():
     E = field("x^6-2")
     auts, data = automorphisms_with_diagnostics(E)
     assert {a.r for a in auts} == {E.gen(), -E.gen()}
-    assert data.precision == 8
+    assert_proven_precision(E, data)
 
 
 def test_count_waits_for_the_precision_it_needs():
     # Q(i) written as x^2+1 shifted by x -> x + 10^9: the conjugation has
-    # coefficients near 2*10^9, beyond p^8 and p^16 at p = 5, so the
-    # identity alone is found in two rounds, which prove nothing
-    E = make_field(poly_eval(parse_poly("x^2+1"), UPoly([10**9, 1])))
+    # coefficients near 2*10^9, recovered at the precision Euler's bound sets
+    E = shifted("x^2+1", 10**9)
     auts, data = automorphisms_with_diagnostics(E)
     assert len(auts) == 2
-    assert (data.p, data.precision) == (5, 32)
+    assert data.p == 5
+    assert_proven_precision(E, data)
+
+
+def test_euler_coordinates_are_bounded_integers(reference_fields):
+    for E in reference_fields + [field(t) for t in RATIONAL_POLYS]:
+        check_euler_coordinates(E, automorphisms(E))
+
+
+def test_deep_precision_walks_are_quick():
+    # large coefficients or a large degree: one lift to the proven precision
+    cases = [
+        (field("x^8-2"), 2),
+        (shifted("x^4+x^3+x^2+x+1", 5000), 4),
+        (shifted("x^4-10*x^2+1", 3000), 4),
+        (shifted("x^2+1", 10**9), 2),
+    ]
+    started = time.perf_counter()
+    counts = [len(automorphisms(E)) for E, _ in cases]
+    elapsed = time.perf_counter() - started
+    assert counts == [count for _, count in cases]
+    assert elapsed < 1.0, elapsed
 
 
 def test_shared_root_label_exposes_a_factor():
@@ -387,12 +418,14 @@ def test_automorphism_identity_across_fields():
 
 @pytest.mark.parametrize("k", [8, 16, 32])
 def test_lagrange_columns_invert_the_vandermonde(reference_fields, k):
-    # V[t][i] = m_t^i times the Lagrange columns is the identity mod p^k
+    # V[s][i] = m_s^i times the quotient columns q_t = f / (x - m_t) is the
+    # diagonal of the units f'(m_t) mod p^k
     for E in reference_fields:
         data = hensel_lift(find_split_prime(E), k)
         m, roots, n = data.modulus, data.lifted_roots, E.degree
-        cols = _lagrange_columns(ModPoly.from_upoly(E.minpoly, m), roots)
+        f = ModPoly.from_upoly(E.minpoly, m)
+        cols = _lagrange_columns(f, roots)
         for t, root in enumerate(roots):
-            for s in range(n):
-                entry = sum(pow(root, i, m) * cols[s][i] for i in range(n)) % m
-                assert entry == (1 if s == t else 0)
+            for s, other in enumerate(roots):
+                entry = sum(cols[t][i] * pow(other, i, m) for i in range(n)) % m
+                assert entry == (f.derivative()(root) if s == t else 0)

@@ -2,6 +2,7 @@
 mod p, the smallest split prime and the irreducibility certificate; and for
 the automorphism group, from the linear factors of f over E."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from fieldlab import (  # noqa: E402
     poly_eval,
 )
 from fieldlab.polynomials import primes_from  # noqa: E402
-from conftest import REFERENCE_POLYS  # noqa: E402
+from conftest import REFERENCE_POLYS, check_euler_coordinates  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -150,3 +151,24 @@ def sympy_automorphisms(f: UPoly) -> set[tuple]:
 def test_automorphisms_match_sympy(f):
     ours = {tuple(a.r.coeffs) for a in automorphisms(make_field(f))}
     assert ours == sympy_automorphisms(f)
+
+
+@pytest.mark.parametrize("f", AUT_POLYS, ids=str)
+def test_euler_coordinates_are_bounded_integers(f):
+    E = make_field(f)
+    check_euler_coordinates(E, automorphisms(E))
+
+
+@pytest.mark.parametrize("text", ["x^2+1/4", "x^4+1/16", "x^4-5/2*x^2+1/16"])
+def test_rational_coefficients_match_sympy(text):
+    # theta' = D*theta is a root of the monic integer F(y) = D^n f(y/D); sympy
+    # gives sigma(theta') = sum c_i theta'^i, so sigma(theta) = sum c_i D^(i-1) theta^i
+    f = parse_poly(text)
+    n = f.degree
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    assert D > 1
+    F = UPoly([c * D ** (n - i) for i, c in enumerate(f.coeffs)])
+    expected = {tuple(c * Fraction(D) ** (i - 1) for i, c in enumerate(image))
+                for image in sympy_automorphisms(F)}
+    ours = {tuple(a.r.coeffs) for a in automorphisms(make_field(f))}
+    assert ours == expected
