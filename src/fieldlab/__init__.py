@@ -42,6 +42,7 @@ from .polynomials import (
 from .numberfield import (
     AssumedIrreducible,
     CertifiedModP,
+    CertifiedSplitPrime,
     FieldElem,
     NumberField,
     make_field,
@@ -112,7 +113,7 @@ __all__ = [
     "mod_is_irreducible", "rational_reconstruct",
     # fields
     "NumberField", "FieldElem", "make_field", "CertifiedModP",
-    "AssumedIrreducible",
+    "CertifiedSplitPrime", "AssumedIrreducible",
     # linear algebra
     "QMatrix", "EMatrix", "SolveResult", "rank_and_solve", "matrix_rank",
     "qmatrix_det", "field_det",

@@ -52,8 +52,9 @@ class DivisionByZero(FieldlabError, ZeroDivisionError):
 
 
 class ZeroDivisor(FieldlabError):
-    """A nonzero element was not invertible: the defining polynomial is
-    reducible and ``factor`` is a proper factor discovered by the gcd."""
+    """The defining polynomial is reducible and ``factor`` is a proper monic
+    factor: found by root recombination at a split prime when the field is
+    built, or by a gcd when a nonzero element is not invertible."""
 
     def __init__(self, factor):
         super().__init__(f"zero divisor; defining polynomial has factor {factor}")

@@ -49,7 +49,7 @@ from .errors import (
     NotGalois,
     ZeroDivisor,
 )
-from .numberfield import FieldElem, NumberField
+from .numberfield import SPLIT_DEGREE_CAP, FieldElem, NumberField, _integral_model
 from .polynomials import (
     ModPoly,
     mod_is_squarefree,
@@ -59,7 +59,7 @@ from .polynomials import (
     primes_from,
 )
 
-DEFAULT_DEGREE_CAP = 8
+DEFAULT_DEGREE_CAP = SPLIT_DEGREE_CAP
 DEFAULT_PRIME_BOUND = 10_000
 
 
@@ -96,7 +96,7 @@ def _root_counts(f, min_p: int, bound: int):
 
 
 def _roots_at(E: NumberField, p: int, fp: ModPoly) -> SplitPrimeData:
-    return SplitPrimeData(E, p, tuple(t for t in range(p) if fp(t) == 0), 1)
+    return SplitPrimeData(E, p, fp.roots(), 1)
 
 
 def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
@@ -248,8 +248,7 @@ def automorphisms_with_diagnostics(
             achieved[label] = a
 
     f = E.minpoly
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    F = [int(c * den ** (n - i)) for i, c in enumerate(f.coeffs)]
+    den, F = _integral_model(f)
     cauchy = 1 + max(map(abs, F))
     bounds = [n * cauchy * math.comb(n - 1, i) * cauchy ** (n - 1 - i) for i in range(n)]
     k = 1

@@ -1,12 +1,24 @@
 """The extension E = Q[x]/(f) and exact arithmetic in its power basis.
 
 A ``NumberField`` is defined by a monic squarefree f with no rational root
-(degree >= 2) and carries an irreducibility certificate: either f is
-irreducible modulo some small prime by Ben-Or's gcd test (which proves
-irreducibility over Q, since a monic f keeps its degree mod p), or it is
-``AssumedIrreducible`` and any hidden factor of f will surface later as a
-``ZeroDivisor`` witness during inversion.  Full factorization over Q is
-deliberately out of scope.
+(degree >= 2) and carries an irreducibility certificate from the first prime
+p <= 200 that decides:
+
+- ``CertifiedModP``: f is irreducible mod p by Ben-Or's gcd test, which
+  proves irreducibility over Q, since a monic f keeps its degree mod p.
+- ``CertifiedSplitPrime``: f splits into n <= 8 distinct linear factors mod
+  p, and no product of 2..n/2 of its roots, Hensel-lifted to p^k above twice
+  Mignotte's bound C(n/2, i) (isqrt(sum F_j^2) + 1) on the coefficients of a
+  factor of the integral F = D^n f(y/D), is a factor of F (Zassenhaus 1969;
+  Cohen, *A Course in Computational Algebraic Number Theory*, 3.5).  A
+  product that is one is raised as ``ZeroDivisor`` with its monic factor of
+  f, so the same scan also rejects reducible f.  The cap n <= 8 bounds the
+  recombination at 154 subsets.
+- ``AssumedIrreducible``: no prime up to the bound is irreducible or (for
+  n <= 8) split, as for (x^3-2)(x^3-3), or x^4+1 with a bound below 17.
+  Any hidden factor of f then surfaces only as a ``ZeroDivisor`` witness
+  during inversion.  Distinct-degree patterns and multifactor lifting at a
+  prime with few factors, which would decide these too, are not done.
 
 Elements are coordinate vectors in the power basis 1, theta, ...,
 theta**(n-1), stored as integer numerators over one positive common
@@ -23,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .errors import (
@@ -45,6 +58,8 @@ from .polynomials import (
 )
 
 DEFAULT_CERT_PRIME_BOUND = 200
+# the largest degree whose root subsets are tried: at most 154 of them at n = 8
+SPLIT_DEGREE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,15 @@ class CertifiedModP:
     """f mod prime is irreducible over GF(prime), hence f is irreducible over Q."""
 
     prime: int
+
+
+@dataclass(frozen=True)
+class CertifiedSplitPrime:
+    """f splits into distinct linear factors mod prime, and no product of at
+    most n/2 of its roots, lifted to prime**precision, is a factor over Q."""
+
+    prime: int
+    precision: int
 
 
 @dataclass(frozen=True)
@@ -373,9 +397,19 @@ def make_field(
 
     Rejects constants, non-squarefree polynomials (witness: gcd(f, f')) and
     degree >= 2 polynomials with a rational root (witness: the root).  Then
-    scans primes up to cert_prime_bound for one modulo which the monic f is
-    irreducible (Ben-Or's test, which also rejects a repeated factor mod p);
-    failing that the field is built with AssumedIrreducible.
+    visits the primes p <= cert_prime_bound in increasing order, computing
+    x^p mod (p, f) once at each, and stops at the first that decides:
+
+    - f is irreducible mod p by Ben-Or's test, whose first step is that
+      power: ``CertifiedModP(p)``;
+    - x^p = x mod (p, f), so f splits into n distinct linear factors mod p,
+      and n <= SPLIT_DEGREE_CAP: the roots are lifted and recombined
+      (``_split_prime_certificate``), which either finds no factor of
+      degree <= n/2, ``CertifiedSplitPrime(p, k)``, or raises ZeroDivisor
+      with a monic factor of f.
+
+    With no such prime the field is built with AssumedIrreducible: a hidden
+    factor can then only surface as a ZeroDivisor during inversion.
     """
     if f.is_zero or f.degree < 1:
         raise ConstantPolynomial(f"cannot build a field on {f!r}")
@@ -395,10 +429,71 @@ def make_field(
             fp = ModPoly.from_upoly(f, p)
         except ValueError:
             continue
-        if mod_is_irreducible(fp):
+        x = ModPoly(p, [0, 1])
+        xp = x.powmod(p, fp)
+        if mod_is_irreducible(fp, xp):
             certificate = CertifiedModP(p)
             break
+        # n >= 2 here, as Ben-Or accepts every f of degree 1; f then divides
+        # the squarefree x^p - x, so it is squarefree mod p
+        if xp == x and f.degree <= SPLIT_DEGREE_CAP:
+            certificate = _split_prime_certificate(f, fp)
+            break
     return NumberField(f, certificate)
+
+
+def _integral_model(f: UPoly) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators of the monic f, and the coefficients of
+    the monic integer F(y) = D^n f(y/D), whose roots are D times those of f."""
+    n = f.degree
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    return D, [int(c * D ** (n - i)) for i, c in enumerate(f.coeffs)]
+
+
+def _symmetric(r: int, modulus: int) -> int:
+    return r - modulus if 2 * r > modulus else r
+
+
+def _split_prime_certificate(f: UPoly, fp: ModPoly) -> CertifiedSplitPrime:
+    """Decide f, monic of degree n >= 2 with no rational root, at a prime p
+    where it splits into distinct linear factors (Zassenhaus; Cohen, *A Course
+    in Computational Algebraic Number Theory*, 3.5).
+
+    A reducible F = D^n f(y/D) has a monic integer factor g of degree d in
+    2..n/2 (degree 1 would be a rational root), and by Mignotte's bound
+    |g_i| <= C(d, i) ||F||_2 <= C(n/2, i) (isqrt(sum F_j^2) + 1).  Mod p, g is
+    the product of y - m_t over d of the roots m_t of F, and by Hensel's lemma
+    that stays so for the roots lifted to any p^k.  At the least k with p^k
+    above twice every bound, the symmetric residues of that product are the
+    coefficients of g.  So trying every root subset of size 2..n/2, the
+    constant term first (within its bound and dividing F_0), then every
+    coefficient, then exact division, either finds a factor, raised as
+    ZeroDivisor with the monic factor of f, or proves f irreducible:
+    CertifiedSplitPrime(p, k).
+    """
+    p, n = fp.p, f.degree
+    D, F = _integral_model(f)
+    half = n // 2
+    norm = math.isqrt(sum(c * c for c in F)) + 1
+    bounds = [math.comb(half, i) * norm for i in range(half + 1)]
+    k = 1
+    while p**k <= 2 * max(bounds):
+        k += 1
+    modulus = p**k
+    roots = [D * r % modulus for r in newton_lift(f, fp.roots(), p, 1, k)]
+    for d in range(2, half + 1):
+        for subset in combinations(roots, d):
+            # a factor's constant term divides F_0, which is not 0 (0 is no root)
+            g0 = _symmetric((-1) ** d * math.prod(subset) % modulus, modulus)
+            if not g0 or abs(g0) > bounds[0] or F[0] % g0:
+                continue
+            g = [1]  # prod (y - m) over the subset, low degree first
+            for m in subset:
+                g = [(a - m * b) % modulus for a, b in zip([0] + g, g + [0])]
+            g = [_symmetric(c, modulus) for c in g]
+            if all(abs(c) <= b for c, b in zip(g, bounds)) and not UPoly(F) % UPoly(g):
+                raise ZeroDivisor(UPoly([Fraction(c, D ** (d - i)) for i, c in enumerate(g)]))
+    return CertifiedSplitPrime(p, k)
 
 
 def _rational_root(f: UPoly) -> Fraction | None:
@@ -429,8 +524,8 @@ def _rational_root(f: UPoly) -> Fraction | None:
     modulus = p**k
     gq = UPoly(g)
     roots = []
-    for r in newton_lift(gq, [t for t in range(p) if gp(t) == 0], p, 1, k):
-        y = r - modulus if 2 * r > modulus else r
+    for r in newton_lift(gq, gp.roots(), p, 1, k):
+        y = _symmetric(r, modulus)
         if gq(y) == 0:
             roots.append(Fraction(y, lead))
     return min(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0),

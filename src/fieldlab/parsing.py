@@ -4,14 +4,16 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := rational | 'x' ('^' uint)? | '(' expr ')' | '-' factor
+    factor   := rational | 'x' ('^' uint)? | '(' expr ')' ('^' uint)? | '-' factor
     rational := uint ('/' uint)?
 
 Signs reach numbers through the '-' factor production, so "-3/4*x" means
-(-(3/4)) * x.  An exponent or a product of degree above MAX_DEGREE is a
-syntax error at its '^' or '*' token, so no input expands into a huge
-polynomial.  format_poly is the canonical inverse: parse_poly(format_poly(p))
-returns p for every polynomial of degree at most MAX_DEGREE.
+(-(3/4)) * x, and "-(x+1)^2" means -((x+1)^2).  An exponent above
+MAX_DEGREE, or a power or product of degree above MAX_DEGREE, is a syntax
+error at its exponent or '*' token, checked before anything is expanded, so
+no input expands into a huge polynomial.  format_poly is the canonical
+inverse: parse_poly(format_poly(p)) returns p for every polynomial of degree
+at most MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -120,18 +122,25 @@ class _Parser:
                 return UPoly([Fraction(num, den)])
             return UPoly([num])
         if self._accept("x"):
-            if self._accept("^"):
-                exp_tok = self._expect("num", "exponent")
-                degree = int(exp_tok[1])
-                if degree > MAX_DEGREE:
-                    raise PolySyntaxError(exp_tok[2], f"exponent at most {MAX_DEGREE}")
-                return UPoly.monomial(degree)
-            return UPoly.x()
+            return UPoly.monomial(self._exponent(1))
         if self._accept("("):
             inner = self.expr()
             self._expect(")", "closing parenthesis")
-            return inner
+            return inner ** self._exponent(inner.degree)
         self._fail("rational, 'x', '(', or '-'")
+
+    def _exponent(self, degree: int) -> int:
+        # the uint after an optional '^', else 1; base**e must have degree
+        # at most MAX_DEGREE, where the base has the given degree
+        if not self._accept("^"):
+            return 1
+        tok = self._expect("num", "exponent")
+        e = int(tok[1])
+        if e > MAX_DEGREE:
+            raise PolySyntaxError(tok[2], f"exponent at most {MAX_DEGREE}")
+        if degree * e > MAX_DEGREE:
+            raise PolySyntaxError(tok[2], f"power of degree at most {MAX_DEGREE}")
+        return e
 
 
 def parse_poly(text: str) -> UPoly:

@@ -494,6 +494,11 @@ class ModPoly:
             acc = (acc * point + c) % self.p
         return acc
 
+    def roots(self) -> tuple[int, ...]:
+        """Every residue t in [0, p) with f(t) = 0, ascending, by evaluating
+        f at each one: meant for the small primes of the modular scans."""
+        return tuple(t for t in range(self.p) if self(t) == 0)
+
     def __repr__(self):
         return f"ModPoly(p={self.p}, coeffs={list(self.coeffs)})"
 
@@ -503,21 +508,23 @@ def mod_is_squarefree(f: ModPoly) -> bool:
     return g.degree == 0
 
 
-def mod_is_irreducible(f: ModPoly) -> bool:
+def mod_is_irreducible(f: ModPoly, xp: ModPoly | None = None) -> bool:
     """Ben-Or's test over GF(p) for f of degree >= 1.
 
     f is irreducible iff gcd(f, x^(p^i) - x) = 1 for i = 1..n/2: a reducible
     f, squares included, has an irreducible factor of some degree d <= n/2,
     and that factor divides x^(p^d) - x.  Stops at the first such factor.
+    xp is x^p mod the monic f, for a caller that has it already.
     """
     n = f.degree
     if n < 1:
         return False
     f = f.monic()
     x = ModPoly(f.p, [0, 1])
-    frob = x  # x^(p^i) mod f
-    for _ in range(n // 2):
-        frob = frob.powmod(f.p, f)
+    frob = x.powmod(f.p, f) if xp is None else xp  # x^(p^i) mod f
+    for i in range(n // 2):
+        if i:
+            frob = frob.powmod(f.p, f)
         if f.gcd(frob - x).degree != 0:
             return False
     return True

@@ -3,7 +3,9 @@
 Everything here is a view of one object: the matrix of y -> a*y in the power
 basis.  Trace and norm are its diagonal sum and determinant; the minimal
 polynomial comes from the first linear dependency among powers of a, found by
-exact elimination rather than a characteristic-polynomial routine.
+exact elimination rather than a characteristic-polynomial routine.  The trace
+form needs only the traces of the powers of theta, which Newton's identities
+give from the coefficients of f without building any matrix.
 """
 
 from __future__ import annotations
@@ -62,12 +64,19 @@ def minpoly(a: FieldElem) -> UPoly:
 
 def trace_gram(E: NumberField) -> QMatrix:
     """Gram matrix of the trace form on the power basis: G[i][j] =
-    trace(theta^(i+j)).  Nonzero determinant certifies separability."""
+    trace(theta^(i+j)).  Nonzero determinant certifies separability.
+
+    The power sums s_k = trace(theta^k) come from Newton's identities on the
+    monic f = x^n + c_(n-1) x^(n-1) + ... + c_0: s_0 = n, and
+    s_k = -(k c_(n-k) + sum_(i=1..k-1) c_(n-i) s_(k-i)) for k <= n,
+    s_k = -sum_(i=1..n) c_(n-i) s_(k-i) beyond.
+    """
     n = E.degree
-    theta = E.gen()
-    power_traces = []
-    current = E.one()
-    for _ in range(2 * n - 1):
-        power_traces.append(trace(current))
-        current = current * theta
-    return QMatrix([[power_traces[i + j] for j in range(n)] for i in range(n)])
+    c = E.minpoly.coeffs
+    s = [Fraction(n)]
+    for k in range(1, 2 * n - 1):
+        acc = k * c[n - k] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            acc += c[n - i] * s[k - i]
+        s.append(-acc)
+    return QMatrix([[s[i + j] for j in range(n)] for i in range(n)])

@@ -109,9 +109,26 @@ def test_exit_2_on_reducible(capsys):
 
 
 def test_exit_2_names_the_factor_two_maps_share(capsys):
-    # x^4+4 = (x^2+2x+2)(x^2-2x+2): two of its maps agree at the split prime
+    # x^4+4 = (x^2+2x+2)(x^2-2x+2): make_field finds the factor at the split
+    # prime 5, where two of its maps would agree
     assert main(["analyze", "x^4+4"]) == 2
     assert "x^2 + 2*x + 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "primitive", "normal"])
+@pytest.mark.parametrize("text, factor", [
+    ("(x^2+1)*(x^2+2)", "x^2 + 1"),
+    ("(x^4+1)*(x^2+3)", "x^2 + 3"),
+    ("x^5+x^3-2*x^2-2", "x^2 + 1"),
+    ("(x^2-2)*(x^2-3)", "x^2 - 2"),
+    ("(x^2+1)*(x^3-2)", "x^2 + 1"),
+])
+def test_exit_2_names_the_factor_of_a_split_product(capsys, command, text, factor):
+    # each splits at a prime <= 200; no prime makes a product irreducible
+    assert main([command, text, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: zero divisor; defining polynomial has factor {factor}\n"
 
 
 def test_exit_2_on_square_discriminant(capsys):

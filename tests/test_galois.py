@@ -25,6 +25,7 @@ from fieldlab import (
     poly_eval,
 )
 from fieldlab.galois import DEFAULT_PRIME_BOUND, _lagrange_columns
+from fieldlab.numberfield import _force_field
 from fieldlab.polynomials import mod_is_squarefree, primes_from
 from conftest import check_euler_coordinates, euler_bounds, field, random_elem
 
@@ -237,10 +238,10 @@ def test_deep_precision_walks_are_quick():
 
 
 def test_shared_root_label_exposes_a_factor():
-    # x^4+4 = (x^2+2x+2)(x^2-2x+2) is reducible modulo every prime, so no
-    # certificate rejects it; two of its maps agree at the split prime
+    # x^4+4 = (x^2+2x+2)(x^2-2x+2); make_field rejects it at its split prime,
+    # so the field is forced: two of its maps agree at the split prime
     with pytest.raises(ZeroDivisor) as e:
-        automorphisms(field("x^4+4"))
+        automorphisms(_force_field(parse_poly("x^4+4")))
     assert e.value.factor == parse_poly("x^2+2*x+2")
 
 

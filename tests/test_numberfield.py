@@ -8,6 +8,7 @@ import pytest
 from fieldlab import (
     AssumedIrreducible,
     CertifiedModP,
+    CertifiedSplitPrime,
     ConstantPolynomial,
     DivisionByZero,
     EMatrix,
@@ -62,12 +63,32 @@ def test_make_field_normalizes_to_monic():
     assert E.minpoly == parse_poly("x^2+1")
 
 
-def test_x4_plus_1_assumed_irreducible():
+def test_x4_plus_1_certified_at_split_prime():
+    # reducible modulo every prime, so no Ben-Or certificate; x^4+1 splits
+    # first at 17, where Mignotte's bounds [2, 4, 2] are below 17/2
     E = field("x^4+1")
-    assert isinstance(E.certificate, AssumedIrreducible)
+    assert E.certificate == CertifiedSplitPrime(17, 1)
     # it really is a field: inversion of a generic element succeeds
     a = E.element([1, 1, 0, 1])
     assert a * invert(a) == E.one()
+
+
+def test_x4_plus_1_assumed_below_its_split_prime():
+    # no prime up to 13 is irreducible or split for x^4+1
+    E = make_field(parse_poly("x^4+1"), cert_prime_bound=13)
+    assert E.certificate == AssumedIrreducible()
+
+
+@pytest.mark.parametrize("text, factor", [
+    # rational coefficients: the factor of F = D^n f(y/D) is scaled back
+    ("(4*x^2+1)*(x^2+1/9)", "x^2+1/4"),
+    # degree 8 splits at 41; the factor has the largest subset size, n/2
+    ("(x^4+1)*(x^4+x^3+x^2+x+1)", "x^4+1"),
+])
+def test_split_prime_names_a_factor(text, factor):
+    with pytest.raises(ZeroDivisor) as e:
+        field(text)
+    assert e.value.factor == parse_poly(factor)
 
 
 def test_rational_root_found_for_cubic():

@@ -35,6 +35,16 @@ def test_expands_products():
     assert parse_poly("(x+1)*(x+1)*(x+1)") == parse_poly("x^3+3*x^2+3*x+1")
 
 
+def test_powers_of_parenthesized_expressions():
+    assert parse_poly("(x+1)^2") == parse_poly("x^2+2*x+1")
+    assert parse_poly("2*(x+1)^3") == parse_poly("2*x^3+6*x^2+6*x+2")
+    assert parse_poly("-(x-1)^2") == parse_poly("-x^2+2*x-1")
+    assert parse_poly("(x^2+1)^2*(x-1)") == parse_poly("x^5-x^4+2*x^3-2*x^2+x-1")
+    assert coeffs("(3/7)^2") == [Fraction(9, 49)]
+    assert coeffs("(x+1)^0") == [1]
+    assert coeffs("(x+1)^1") == [1, 1]
+
+
 def test_rational_literals():
     assert coeffs("3/5 + 4/5*x") == [Fraction(3, 5), Fraction(4, 5)]
     assert coeffs("1/2*x") == [0, Fraction(1, 2)]
@@ -57,9 +67,10 @@ def test_syntax_error_position():
 
 
 def test_syntax_errors():
-    # division and '^' apply only to rational literals and x respectively
+    # division applies only to rational literals, '^' only to x and to a
+    # parenthesized expression, once, with an unsigned exponent
     for bad in ["x^", "(x+1", "x+", "*x", "x x", "1//2", "x^-2",
-                "x/2", "(x+1)^2", "(x+1)/(x-1)"]:
+                "x/2", "(x+1)^", "(x+1)^-2", "(x+1)^2^2", "(x+1)/(x-1)"]:
         with pytest.raises(PolySyntaxError):
             parse_poly(bad)
 
@@ -80,9 +91,13 @@ def test_empty_input():
 def test_degree_cap_at_parse_time():
     assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE == 64
     assert parse_poly("x^32*x^32").degree == 64
-    # the error points at the exponent, or at the '*' of the product
+    assert parse_poly("(x^2+1)^32").degree == 64
+    # the error points at the exponent, or at the '*' of the product; a
+    # power of a parenthesized expression is checked at its exponent before
+    # anything is expanded: the exponent itself, then the degree
     for bad, at in [("x^65", 2), ("x^100000000+1", 2), ("x^40*x^30", 4),
-                    ("2*(x^40+1)*(x^30-x)", 10)]:
+                    ("2*(x^40+1)*(x^30-x)", 10), ("(3/7)^1000000", 6),
+                    ("(x^2+1)^33", 8), ("2*(x+1)^65", 8)]:
         with pytest.raises(PolySyntaxError) as e:
             parse_poly(bad)
         assert e.value.position == at

@@ -166,3 +166,12 @@ def test_trace_gram_nondegenerate(reference_fields):
         g = trace_gram(E)
         assert qmatrix_det(g) != 0
         assert matrix_rank(g) == E.degree
+
+
+def test_trace_gram_equals_traces_of_powers(reference_fields):
+    # Newton's identities give the same matrix as the traces of regrep(theta^k)
+    for E in reference_fields + [field("x^4-5/2*x^2+1/16"), field("x-1/3")]:
+        n = E.degree
+        theta = E.gen()
+        expected = QMatrix([[trace(theta ** (i + j)) for j in range(n)] for i in range(n)])
+        assert trace_gram(E) == expected, E

@@ -1,6 +1,7 @@
 """sympy as an independent oracle for the modular tests of f: irreducibility
-mod p, the smallest split prime and the irreducibility certificate; and for
-the automorphism group, from the linear factors of f over E."""
+mod p, the smallest split prime and the irreducibility certificate; for the
+factors make_field finds in products; and for the automorphism group, from
+the linear factors of f over E."""
 
 import math
 import random
@@ -13,9 +14,11 @@ sympy = pytest.importorskip("sympy")
 from fieldlab import (  # noqa: E402
     AssumedIrreducible,
     CertifiedModP,
+    CertifiedSplitPrime,
     ModPoly,
     NoSplitPrimeFound,
     UPoly,
+    ZeroDivisor,
     automorphisms,
     find_split_prime,
     make_field,
@@ -106,15 +109,75 @@ def test_split_prime_matches_brute_force(f):
     assert (data.p, data.lifted_roots) == expected
 
 
+def sympy_splits(coeffs, p) -> bool:
+    # n distinct linear factors mod p
+    factors = sympy.Poly(list(reversed(coeffs)), X, modulus=p).factor_list()[1]
+    n = len(coeffs) - 1
+    return len(factors) == n and all(g.degree() == 1 and e == 1 for g, e in factors)
+
+
+def expected_certificate(cs: list[int]):
+    # the first prime <= 200 at which f is irreducible, or split with n <= 8
+    for p in primes_from(2):
+        if p > 200:
+            return AssumedIrreducible
+        if sympy_irreducible(cs, p):
+            return CertifiedModP, p
+        if len(cs) - 1 <= 8 and sympy_splits(cs, p):
+            return CertifiedSplitPrime, p
+
+
 @pytest.mark.parametrize("f", FIELD_POLYS, ids=str)
 def test_certificate_prime_matches_sympy(f):
-    cs = int_coeffs(f)
-    expected = next(p for p in primes_from(2) if p > 200 or sympy_irreducible(cs, p))
+    expected = expected_certificate(int_coeffs(f))
     certificate = make_field(f).certificate
-    if expected > 200:
+    if expected is AssumedIrreducible:
         assert certificate == AssumedIrreducible()
     else:
-        assert certificate == CertifiedModP(expected)
+        assert (type(certificate), certificate.prime) == expected
+
+
+def mignotte_bound(f: UPoly) -> int:
+    # the largest C(n/2, i) (isqrt(||F||_2^2) + 1) for F = D^n f(y/D)
+    n = f.degree
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    F = [c * D ** (n - i) for i, c in enumerate(f.coeffs)]
+    norm = math.isqrt(sum(int(c) ** 2 for c in F)) + 1
+    return max(math.comb(n // 2, i) * norm for i in range(n // 2 + 1))
+
+
+def random_irreducible(rng: random.Random, degree: int) -> UPoly:
+    # monic, coefficients in -3..3, irreducible over Q
+    while True:
+        coeffs = [rng.randint(-3, 3) for _ in range(degree)] + [1]
+        if sympy.Poly(list(reversed(coeffs)), X).is_irreducible:
+            return UPoly(coeffs)
+
+
+def random_products(rng: random.Random, count: int) -> list[tuple[UPoly, UPoly]]:
+    # (g, h): distinct factors of degree >= 2 with deg g + deg h in 4..8
+    out = []
+    while len(out) < count:
+        total = rng.randint(4, 8)
+        d = rng.randint(2, total - 2)
+        g, h = random_irreducible(rng, d), random_irreducible(rng, total - d)
+        if g != h:
+            out.append((g, h))
+    return out
+
+
+def test_products_are_never_certified():
+    caught = 0
+    for g, h in random_products(random.Random(11), 100):
+        f = g * h
+        try:
+            certificate = make_field(f).certificate
+        except ZeroDivisor as e:
+            assert 1 <= e.factor.degree < f.degree and not f % e.factor, (f, e.factor)
+            caught += 1
+            continue
+        assert certificate == AssumedIrreducible(), (g, h, certificate)
+    assert caught > 0
 
 
 def random_irreducible_polys(rng: random.Random, count: int) -> list[UPoly]:
@@ -151,6 +214,19 @@ def sympy_automorphisms(f: UPoly) -> set[tuple]:
 def test_automorphisms_match_sympy(f):
     ours = {tuple(a.r.coeffs) for a in automorphisms(make_field(f))}
     assert ours == sympy_automorphisms(f)
+
+
+def test_split_certificate_precision_exceeds_twice_the_bound():
+    # the least k with p^k > 2 * bound, on every irreducible field here
+    fields = set(FIELD_POLYS + AUT_POLYS) | {parse_poly("x^4-5/2*x^2+1/16")}
+    split = 0
+    for f in fields:
+        certificate = make_field(f).certificate
+        if isinstance(certificate, CertifiedSplitPrime):
+            p, k = certificate.prime, certificate.precision
+            assert p ** (k - 1) <= 2 * mignotte_bound(f) < p**k, (f, certificate)
+            split += 1
+    assert split >= 7
 
 
 @pytest.mark.parametrize("f", AUT_POLYS, ids=str)
