@@ -49,7 +49,13 @@ from .errors import (
     NotGalois,
     ZeroDivisor,
 )
-from .numberfield import SPLIT_DEGREE_CAP, FieldElem, NumberField, _integral_model
+from .numberfield import (
+    SPLIT_DEGREE_CAP,
+    FieldElem,
+    NumberField,
+    _integral_model,
+    _symmetric,
+)
 from .polynomials import (
     ModPoly,
     mod_is_squarefree,
@@ -270,9 +276,8 @@ def automorphisms_with_diagnostics(
         # top coefficients have the least bounds and reject most pi
         H = [0] * (n - 1) + [-F[n - 1] * den ** (n - 1)]
         for i in reversed(range(n - 1)):
-            h = sum(col[i] * m for col, m in zip(cols, images)) % modulus
-            if h > modulus // 2:
-                h -= modulus
+            h = sum(col[i] * m for col, m in zip(cols, images))
+            h = _symmetric(h % modulus, modulus)
             if abs(h) > bounds[i]:
                 break
             H[i] = h * den ** i

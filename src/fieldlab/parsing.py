@@ -10,14 +10,27 @@ Grammar (whitespace insignificant, no implicit multiplication):
 Signs reach numbers through the '-' factor production, so "-3/4*x" means
 (-(3/4)) * x, and "-(x+1)^2" means -((x+1)^2).  An exponent above
 MAX_DEGREE, or a power or product of degree above MAX_DEGREE, is a syntax
-error at its exponent or '*' token, checked before anything is expanded, so
-no input expands into a huge polynomial.  format_poly is the canonical
-inverse: parse_poly(format_poly(p)) returns p for every polynomial of degree
-at most MAX_DEGREE.
+error at its exponent or '*' token, checked before anything is expanded.
+
+Degree alone does not bound a power of a constant, so the powers of
+parenthesized expressions in one input share a budget of MAX_POWER_BITS.
+With D the lcm of the denominators of p and H the largest |D*c| over its
+coefficients, size(p) = bits(D) + bits(H) bounds every numerator and
+denominator of p, and size(p^e) <= e * (size(p) + bits(deg p + 1)), since
+D^e clears the denominators of p^e and ((deg p + 1) * H)^e bounds the
+cleared coefficients.  Each power is charged that bound at its exponent
+token before it is expanded, and the input is a syntax error there once the
+charges pass the budget: '((3/7)^64)^64' stops at its second exponent.  Sums
+and products add sizes, so outside the powers coefficients grow only with
+the length of the input.  No input expands into a huge polynomial.
+
+format_poly is the canonical inverse: parse_poly(format_poly(p)) returns p
+for every polynomial of degree at most MAX_DEGREE.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import EmptyInput, PolySyntaxError
@@ -25,6 +38,7 @@ from .polynomials import UPoly
 
 _SYMBOLS = "+-*/^()x"
 MAX_DEGREE = 64
+MAX_POWER_BITS = 8192
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -57,6 +71,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.power_bits = 0  # the size bounds charged by '(' expr ')' '^' uint
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -122,25 +137,39 @@ class _Parser:
                 return UPoly([Fraction(num, den)])
             return UPoly([num])
         if self._accept("x"):
-            return UPoly.monomial(self._exponent(1))
+            return UPoly.monomial(self._exponent())
         if self._accept("("):
             inner = self.expr()
             self._expect(")", "closing parenthesis")
-            return inner ** self._exponent(inner.degree)
+            return inner ** self._exponent(inner)
         self._fail("rational, 'x', '(', or '-'")
 
-    def _exponent(self, degree: int) -> int:
-        # the uint after an optional '^', else 1; base**e must have degree
-        # at most MAX_DEGREE, where the base has the given degree
+    def _exponent(self, base: UPoly | None = None) -> int:
+        # the uint after an optional '^', else 1; x^e needs e <= MAX_DEGREE,
+        # a parenthesized base also a degree of base^e at most MAX_DEGREE and
+        # room in the budget for the size bound of base^e
         if not self._accept("^"):
             return 1
         tok = self._expect("num", "exponent")
         e = int(tok[1])
         if e > MAX_DEGREE:
             raise PolySyntaxError(tok[2], f"exponent at most {MAX_DEGREE}")
-        if degree * e > MAX_DEGREE:
-            raise PolySyntaxError(tok[2], f"power of degree at most {MAX_DEGREE}")
+        if base is not None:
+            if base.degree * e > MAX_DEGREE:
+                raise PolySyntaxError(tok[2], f"power of degree at most {MAX_DEGREE}")
+            self.power_bits += e * (_size(base) + (base.degree + 1).bit_length())
+            if self.power_bits > MAX_POWER_BITS:
+                raise PolySyntaxError(
+                    tok[2], f"powers of at most {MAX_POWER_BITS} coefficient bits in all"
+                )
         return e
+
+
+def _size(p: UPoly) -> int:
+    # bits(D) + bits(H): D the lcm of the denominators, H the largest |D*c|
+    D = math.lcm(*(c.denominator for c in p.coeffs))
+    H = max((abs(c.numerator) * (D // c.denominator) for c in p.coeffs), default=0)
+    return D.bit_length() + H.bit_length()
 
 
 def parse_poly(text: str) -> UPoly:

@@ -147,8 +147,9 @@ class UPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __divmod__(self, other):

@@ -13,7 +13,7 @@ from fieldlab import (
     format_poly,
     parse_poly,
 )
-from fieldlab.parsing import MAX_DEGREE
+from fieldlab.parsing import MAX_DEGREE, MAX_POWER_BITS, _size
 from conftest import random_upoly
 
 
@@ -101,6 +101,36 @@ def test_degree_cap_at_parse_time():
         with pytest.raises(PolySyntaxError) as e:
             parse_poly(bad)
         assert e.value.position == at
+
+
+def test_power_size_budget_at_parse_time():
+    assert MAX_POWER_BITS == 8192
+    # degree 0 passes every degree check, so nested powers of a constant
+    # would multiply their exponents; the budget stops them at the exponent
+    # whose charge passes it, before anything is expanded
+    for bad, at in [("((3/7)^64)^64", 11), ("((((3/7)^64)^64)^64)^64", 13),
+                    ("(((((3/7)^64)^64)^64)^64)^64", 14),
+                    ("*".join(["((3/7)^64)^2"] * 200), 115),
+                    ("(" + "9" * 40 + "*x+1)^64", 47)]:
+        with pytest.raises(PolySyntaxError) as e:
+            parse_poly(bad)
+        assert e.value.position == at
+    # the charges: 384 for (3/7)^64 (size 5, degree 0), 64*(282+1) after it
+    assert _size(parse_poly("(3/7)^64")) == 282
+    assert parse_poly("((3/7)^64)^27") == UPoly([Fraction(3, 7) ** 1728])
+    assert parse_poly("(1/1000*x+1)^64").degree == 64
+    # x^e is not charged, so power-free input is bounded by its length only
+    assert parse_poly("+".join(["x^64"] * 200)) == UPoly.monomial(64, 200)
+
+
+def test_size_bounds_powers():
+    # size(p^e) <= e * (size(p) + bits(deg p + 1)), the charge of p^e
+    rng = random.Random(73)
+    for _ in range(200):
+        p = random_upoly(rng, max_deg=4, span=30)
+        e = rng.randint(0, 6)
+        charge = e * (_size(p) + (p.degree + 1).bit_length())
+        assert _size(p ** e) <= max(charge, 2)
 
 
 def test_zero_denominator():
