@@ -9,7 +9,6 @@ it checkable: minimal polynomials, conjugate determinants, norm values.
 """
 
 from .errors import (
-    BoundTooLargeForModulus,
     ConstantPolynomial,
     DegreeCapExceeded,
     DimensionMismatch,
@@ -24,7 +23,6 @@ from .errors import (
     NotGalois,
     NotSquarefree,
     PolySyntaxError,
-    PrecisionCapExceeded,
     RationalRoot,
     TrivialExtension,
     ZeroDivisor,
@@ -36,7 +34,6 @@ from .polynomials import (
     mod_is_irreducible,
     poly_eval,
     poly_gcd,
-    rational_reconstruct,
     squarefree_part,
 )
 from .numberfield import (
@@ -102,15 +99,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "FieldlabError", "ZeroPolynomial", "BoundTooLargeForModulus",
-    "ConstantPolynomial", "NotSquarefree", "RationalRoot", "DivisionByZero",
-    "ZeroDivisor", "FieldMismatch", "DimensionMismatch", "NoSplitPrimeFound",
-    "DegreeCapExceeded", "PrecisionCapExceeded", "NotGalois",
+    "FieldlabError", "ZeroPolynomial", "ConstantPolynomial", "NotSquarefree",
+    "RationalRoot", "DivisionByZero", "ZeroDivisor", "FieldMismatch",
+    "DimensionMismatch", "NoSplitPrimeFound", "DegreeCapExceeded", "NotGalois",
     "InsufficientSample", "HeightCapExceeded", "TrivialExtension", "NotAField",
     "PolySyntaxError", "EmptyInput",
     # polynomials
     "UPoly", "ModPoly", "poly_gcd", "poly_eval", "squarefree_part",
-    "mod_is_irreducible", "rational_reconstruct",
+    "mod_is_irreducible",
     # fields
     "NumberField", "FieldElem", "make_field", "CertifiedModP",
     "CertifiedSplitPrime", "AssumedIrreducible",

@@ -8,9 +8,10 @@ document alone.  Identical arguments and seed produce byte-identical JSON
 except for the diagnostics.timings block.
 
 Exit codes: 0 success; 2 invalid input (syntax error, reducible polynomial,
-square discriminant, bad sample); 3 not Galois where the command requires it;
-4 search budget exhausted (partial results are still emitted); 5 internal cap
-hit (degree cap, or no split prime while |Aut| may exceed 1).
+square discriminant, bad sample, an option out of range); 3 not Galois
+where the command requires it; 4 search budget exhausted (partial results
+are still emitted); 5 internal cap hit (degree cap, or no split prime while
+|Aut| may exceed 1).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .galois import (
     DEFAULT_PRIME_BOUND,
     automorphisms_with_diagnostics,
 )
-from .numberfield import NumberField, make_field
+from .numberfield import SPLIT_DEGREE_CAP, NumberField, make_field
 from .parsing import format_elem, format_poly, parse_poly
 from .polynomials import UPoly
 from .search import (
@@ -131,8 +132,12 @@ class _Run:
         self.seed = _resolve(args.seed, "FIELDLAB_SEED", 0)
         self.max_height = _resolve(args.max_height, "FIELDLAB_MAX_HEIGHT", DEFAULT_MAX_HEIGHT)
         # the automorphism options of analyze, normal and norm-one --normal
+        degree_cap = _resolve(args.degree_cap, "FIELDLAB_DEGREE_CAP", DEFAULT_DEGREE_CAP)
+        # the permutation walk grows like n!: past degree 8 it runs for minutes
+        if not 1 <= degree_cap <= SPLIT_DEGREE_CAP:
+            raise ValueError(f"degree cap must be in 1..{SPLIT_DEGREE_CAP}, got {degree_cap}")
         self.aut_options = {
-            "degree_cap": _resolve(args.degree_cap, "FIELDLAB_DEGREE_CAP", DEFAULT_DEGREE_CAP),
+            "degree_cap": degree_cap,
             "prime_bound": DEFAULT_PRIME_BOUND if args.prime_bound is None else args.prime_bound,
         }
         self.mode = "randomized" if args.randomized else "deterministic"
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--randomized", action="store_true",
                         help="sample candidates instead of enumerating")
     common.add_argument("--degree-cap", type=int, default=None,
-                        help="max field degree for automorphism search "
+                        help="max field degree for automorphism search, 1 to 8 "
                              "(env FIELDLAB_DEGREE_CAP, default 8)")
     common.add_argument("--prime-bound", type=int, default=None,
                         help="largest prime scanned for root counts of f "

@@ -2,6 +2,8 @@
 
 Every failure mode carries its witness (a factor, a root, a count, partial
 results) so callers can report or act on it without re-deriving anything.
+Every class below FieldlabError is raised somewhere in fieldlab; an error
+that nothing raises is deleted rather than kept for callers that catch it.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ class FieldlabError(Exception):
 
 class ZeroPolynomial(FieldlabError):
     """An operation that needs a nonzero polynomial got the zero polynomial."""
-
-
-class BoundTooLargeForModulus(FieldlabError):
-    """rational_reconstruct called with a bound outside 1 <= bound < m/2.
-    Only that public function raises it; no command reconstructs
-    rationals."""
 
 
 # --- number field construction and arithmetic ---------------------------
@@ -86,12 +82,6 @@ class DegreeCapExceeded(FieldlabError):
         super().__init__(f"degree {degree} exceeds automorphism degree cap {cap}")
         self.degree = degree
         self.cap = cap
-
-
-class PrecisionCapExceeded(FieldlabError):
-    """Kept for callers that catch it; nothing in fieldlab raises it.  The
-    automorphism walk lifts once to a precision proven from f, so it has no
-    precision cap."""
 
 
 class NotGalois(FieldlabError):

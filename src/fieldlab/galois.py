@@ -4,8 +4,9 @@ An automorphism of E = Q[x]/(f) is determined by the image r of the
 generator, and r must be a root of f in E.  The engine finds every such r:
 
   1. scan the primes p where f mod p is defined and squarefree, counting
-     the roots of f mod p, until one count is 1 or one prime splits f into
-     n distinct linear factors,
+     the roots of f mod p from x^p mod (p, f) (``polynomials.frobenius_scan``,
+     the scan ``make_field`` certifies from), until one count is 1 or one
+     prime splits f into n distinct linear factors,
   2. Hensel-lift the n roots at the split prime, once, to a precision p^k
      proven from f alone (below),
   3. for each permutation hypothesis pi of the root labels, read the integer
@@ -49,20 +50,17 @@ from .errors import (
     NotGalois,
     ZeroDivisor,
 )
-from .numberfield import (
-    SPLIT_DEGREE_CAP,
-    FieldElem,
-    NumberField,
-    _integral_model,
-    _symmetric,
-)
+from .numberfield import SPLIT_DEGREE_CAP, FieldElem, NumberField
 from .polynomials import (
     ModPoly,
+    _symmetric,
+    frobenius_scan,
+    integral_model,
+    lift_precision,
     mod_is_squarefree,
     newton_lift,
     poly_eval,
     poly_gcd,
-    primes_from,
 )
 
 DEFAULT_DEGREE_CAP = SPLIT_DEGREE_CAP
@@ -85,18 +83,11 @@ class SplitPrimeData:
 
 
 def _root_counts(f, min_p: int, bound: int):
-    # (p, f mod p, r) for the primes p in [min_p, bound] where f mod p is
-    # defined, has r >= 1 distinct roots and is squarefree: r = deg gcd(f,
-    # x^p - x), and r = n says x^p = x mod (f, p), that is, f splits
-    for p in primes_from(min_p):
-        if p > bound:
-            return
-        try:
-            fp = ModPoly.from_upoly(f, p)
-        except ValueError:
-            continue  # a denominator of f vanishes mod p
-        x = ModPoly(p, [0, 1])
-        count = fp.gcd(x.powmod(p, fp) - x % fp).degree
+    # (p, f mod p, r) for the primes p in [min_p, bound] of the prime scan
+    # where f mod p has r >= 1 distinct roots and is squarefree: r = deg
+    # gcd(f, x^p - x), and r = n says x^p = x mod (f, p), that is, f splits
+    for p, fp, xp in frobenius_scan(f, min_p, bound):
+        count = fp.gcd(xp - ModPoly(p, [0, 1])).degree
         if count and mod_is_squarefree(fp):
             yield p, fp, count
 
@@ -254,13 +245,10 @@ def automorphisms_with_diagnostics(
             achieved[label] = a
 
     f = E.minpoly
-    den, F = _integral_model(f)
+    den, F = integral_model(f)
     cauchy = 1 + max(map(abs, F))
     bounds = [n * cauchy * math.comb(n - 1, i) * cauchy ** (n - 1 - i) for i in range(n)]
-    k = 1
-    while base.p ** k <= 2 * max(bounds):
-        k += 1
-    data = hensel_lift(base, k)
+    data = hensel_lift(base, lift_precision(base.p, max(bounds)))
     modulus = data.modulus
     roots = [den * m % modulus for m in data.lifted_roots]  # the roots of F
     cols = _lagrange_columns(ModPoly(modulus, F), roots)

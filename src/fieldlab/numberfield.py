@@ -2,7 +2,8 @@
 
 A ``NumberField`` is defined by a monic squarefree f with no rational root
 (degree >= 2) and carries an irreducibility certificate from the first prime
-p <= 200 that decides:
+p <= 200 that decides, reading x^p mod (p, f) from the prime scan of the
+p-adic layer in ``polynomials`` (``frobenius_scan``):
 
 - ``CertifiedModP``: f is irreducible mod p by Ben-Or's gcd test, which
   proves irreducibility over Q, since a monic f keeps its degree mod p.
@@ -14,11 +15,11 @@ p <= 200 that decides:
   product that is one is raised as ``ZeroDivisor`` with its monic factor of
   f, so the same scan also rejects reducible f.  The cap n <= 8 bounds the
   recombination at 154 subsets.
-- ``AssumedIrreducible``: no prime up to the bound is irreducible or (for
-  n <= 8) split, as for (x^3-2)(x^3-3), or x^4+1 with a bound below 17.
-  Any hidden factor of f then surfaces only as a ``ZeroDivisor`` witness
-  during inversion.  Distinct-degree patterns and multifactor lifting at a
-  prime with few factors, which would decide these too, are not done.
+- ``AssumedIrreducible``: no prime up to 200 is irreducible or (for n <= 8)
+  split, as for (x^3-2)(x^3-3).  Any hidden factor of f then surfaces only
+  as a ``ZeroDivisor`` witness during inversion.  Distinct-degree patterns
+  and multifactor lifting at a prime with few factors, which would decide
+  these too, are not done.
 
 Elements are coordinate vectors in the power basis 1, theta, ...,
 theta**(n-1), stored as integer numerators over one positive common
@@ -50,6 +51,10 @@ from .linalg import _bareiss_int
 from .polynomials import (
     ModPoly,
     UPoly,
+    _symmetric,
+    frobenius_scan,
+    integral_model,
+    lift_precision,
     mod_is_irreducible,
     mod_is_squarefree,
     newton_lift,
@@ -57,7 +62,8 @@ from .polynomials import (
     primes_from,
 )
 
-DEFAULT_CERT_PRIME_BOUND = 200
+# the largest prime make_field tries for an irreducibility certificate
+CERT_PRIME_BOUND = 200
 # the largest degree whose root subsets are tried: at most 154 of them at n = 8
 SPLIT_DEGREE_CAP = 8
 
@@ -390,15 +396,14 @@ def invert(a: FieldElem) -> FieldElem:
     return _canonical(E, [a.den * rden**j * c for j, c in enumerate(z)], u)
 
 
-def make_field(
-    f: UPoly, cert_prime_bound: int = DEFAULT_CERT_PRIME_BOUND
-) -> NumberField:
+def make_field(f: UPoly) -> NumberField:
     """Validate f and build E = Q[x]/(f).
 
     Rejects constants, non-squarefree polynomials (witness: gcd(f, f')) and
     degree >= 2 polynomials with a rational root (witness: the root).  Then
-    visits the primes p <= cert_prime_bound in increasing order, computing
-    x^p mod (p, f) once at each, and stops at the first that decides:
+    reads x^p mod (p, f) from ``frobenius_scan`` at the primes
+    p <= CERT_PRIME_BOUND in increasing order and stops at the first that
+    decides:
 
     - f is irreducible mod p by Ben-Or's test, whose first step is that
       power: ``CertifiedModP(p)``;
@@ -422,36 +427,16 @@ def make_field(
         if root is not None:
             raise RationalRoot(root)
     certificate = AssumedIrreducible()
-    for p in primes_from(2):
-        if p > cert_prime_bound:
-            break
-        try:
-            fp = ModPoly.from_upoly(f, p)
-        except ValueError:
-            continue
-        x = ModPoly(p, [0, 1])
-        xp = x.powmod(p, fp)
+    for p, fp, xp in frobenius_scan(f, 2, CERT_PRIME_BOUND):
         if mod_is_irreducible(fp, xp):
             certificate = CertifiedModP(p)
             break
         # n >= 2 here, as Ben-Or accepts every f of degree 1; f then divides
         # the squarefree x^p - x, so it is squarefree mod p
-        if xp == x and f.degree <= SPLIT_DEGREE_CAP:
+        if xp.coeffs == (0, 1) and f.degree <= SPLIT_DEGREE_CAP:
             certificate = _split_prime_certificate(f, fp)
             break
     return NumberField(f, certificate)
-
-
-def _integral_model(f: UPoly) -> tuple[int, list[int]]:
-    """D, the lcm of the denominators of the monic f, and the coefficients of
-    the monic integer F(y) = D^n f(y/D), whose roots are D times those of f."""
-    n = f.degree
-    D = math.lcm(*(c.denominator for c in f.coeffs))
-    return D, [int(c * D ** (n - i)) for i, c in enumerate(f.coeffs)]
-
-
-def _symmetric(r: int, modulus: int) -> int:
-    return r - modulus if 2 * r > modulus else r
 
 
 def _split_prime_certificate(f: UPoly, fp: ModPoly) -> CertifiedSplitPrime:
@@ -472,13 +457,11 @@ def _split_prime_certificate(f: UPoly, fp: ModPoly) -> CertifiedSplitPrime:
     CertifiedSplitPrime(p, k).
     """
     p, n = fp.p, f.degree
-    D, F = _integral_model(f)
+    D, F = integral_model(f)
     half = n // 2
     norm = math.isqrt(sum(c * c for c in F)) + 1
     bounds = [math.comb(half, i) * norm for i in range(half + 1)]
-    k = 1
-    while p**k <= 2 * max(bounds):
-        k += 1
+    k = lift_precision(p, max(bounds))
     modulus = p**k
     roots = [D * r % modulus for r in newton_lift(f, fp.roots(), p, 1, k)]
     for d in range(2, half + 1):
@@ -518,9 +501,7 @@ def _rational_root(f: UPoly) -> Fraction | None:
         gp = ModPoly(p, g)
         if mod_is_squarefree(gp):
             break
-    k = 1
-    while p**k <= 2 * bound:
-        k += 1
+    k = lift_precision(p, bound)
     modulus = p**k
     gq = UPoly(g)
     roots = []

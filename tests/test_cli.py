@@ -210,6 +210,25 @@ def test_exit_5_on_degree_cap(capsys):
     assert main(["analyze", "x^2+1", "--degree-cap", "1"]) == 5
 
 
+PHI17 = "+".join(f"x^{i}" for i in range(16, 1, -1)) + "+x+1"
+
+
+@pytest.mark.parametrize("cap", ["16", "9", "0", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_exit_2_on_degree_cap_out_of_range(capsys, monkeypatch, source, cap):
+    # the permutation walk grows like n!: a cap past 8 is refused before
+    # anything is parsed, so the 17th cyclotomic field cannot hang analyze
+    argv = ["analyze", PHI17]
+    if source == "flag":
+        argv += ["--degree-cap", cap]
+    else:
+        monkeypatch.setenv("FIELDLAB_DEGREE_CAP", cap)
+    started = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - started < 1
+    assert f"degree cap must be in 1..8, got {cap}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [("normal", "x^4+1"), ("norm-one", "x^4+1", "--normal")])
 @pytest.mark.parametrize("option", [("--degree-cap", "2"), ("--prime-bound", "3")])
 def test_normal_commands_take_the_automorphism_options(capsys, command, option):

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from fieldlab import (
+    CertifiedSplitPrime,
     DegreeCapExceeded,
     ModPoly,
     NotGalois,
@@ -173,6 +174,18 @@ def test_diagnostics_report_prime(qi):
     assert data.p == 5
     assert len(auts) == 2
     assert data.precision >= 1
+
+
+def test_split_certificate_and_automorphisms_share_the_prime(galois_fields):
+    # one prime scan serves both: a Galois field has root counts 0 or n, so
+    # the automorphism scan stops at the split prime that certified the field
+    fields = galois_fields + [field(t) for t in ("x^8+1", *RATIONAL_POLYS)]
+    certified = [E for E in fields if isinstance(E.certificate, CertifiedSplitPrime)]
+    assert len(certified) >= 4
+    for E in certified:
+        auts, data = automorphisms_with_diagnostics(E)
+        assert len(auts) == E.degree
+        assert data.p == E.certificate.prime, E
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,10 @@ def test_x4_plus_1_certified_at_split_prime():
     assert a * invert(a) == E.one()
 
 
-def test_x4_plus_1_assumed_below_its_split_prime():
-    # no prime up to 13 is irreducible or split for x^4+1
-    E = make_field(parse_poly("x^4+1"), cert_prime_bound=13)
+def test_product_of_cubics_is_assumed_irreducible():
+    # a product of monic factors is reducible mod every prime, and this one
+    # splits into linear factors at no prime up to 200
+    E = make_field(parse_poly("(x^3-2)*(x^3-3)"))
     assert E.certificate == AssumedIrreducible()
 
 

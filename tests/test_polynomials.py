@@ -1,23 +1,27 @@
-"""Exact univariate polynomial arithmetic, gcd, and rational reconstruction."""
+"""Exact univariate polynomial arithmetic, gcd, modular images and the prime scan."""
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
 from fieldlab import (
-    BoundTooLargeForModulus,
     ModPoly,
     UPoly,
     ZeroPolynomial,
     mod_is_irreducible,
+    parse_poly,
     poly_eval,
     poly_gcd,
-    rational_reconstruct,
     squarefree_part,
 )
-from fieldlab.polynomials import newton_lift
+from fieldlab.polynomials import (
+    frobenius_scan,
+    integral_model,
+    is_prime,
+    lift_precision,
+    newton_lift,
+)
 from conftest import random_upoly
 
 
@@ -194,71 +198,6 @@ def test_poly_eval_horner_matches_sum():
 
 
 # ---------------------------------------------------------------------------
-# rational reconstruction
-# ---------------------------------------------------------------------------
-
-
-def test_reconstruct_examples():
-    # 2*3 = 6 = -1 mod 7
-    assert rational_reconstruct(3, 7, 2) == Fraction(-1, 2)
-    # 2*51 = 102 = 1 mod 101
-    assert rational_reconstruct(51, 101, 10) == Fraction(1, 2)
-    # residue already within the bound
-    assert rational_reconstruct(2, 101, 10) == Fraction(2)
-
-
-def test_reconstruct_round_trip_200():
-    rng = random.Random(23)
-    done = 0
-    while done < 200:
-        m = rng.randrange(10**6, 10**7)
-        bound = rng.randrange(2, 500)
-        if 2 * bound * bound >= m:
-            continue
-        n = rng.randrange(-bound, bound + 1)
-        d = rng.randrange(1, bound + 1)
-        g = gcd(abs(n), d)
-        n, d = (n // g, d // g) if g else (0, 1)
-        if gcd(d, m) != 1:
-            continue
-        residue = n * pow(d, -1, m) % m
-        assert rational_reconstruct(residue, m, bound) == Fraction(n, d)
-        done += 1
-
-
-def test_reconstruct_none_when_no_small_fraction():
-    # 10 is the only residue here; bound 2 admits n/d with |n|,d <= 2 and
-    # none of those hit 10 mod 101
-    assert rational_reconstruct(10, 101, 2) is None
-
-
-def test_reconstruct_degenerate_bound():
-    with pytest.raises(BoundTooLargeForModulus):
-        rational_reconstruct(3, 7, 0)
-    with pytest.raises(BoundTooLargeForModulus):
-        rational_reconstruct(3, 7, 4)  # 2*4 >= 7: candidates collide mod 7
-
-
-def test_reconstruct_uniqueness_scan_region():
-    # 2*bound^2 >= m but 2*bound < m: the scan path must agree with a
-    # brute-force search over all admissible fractions
-    m, bound = 101, 10
-    for residue in range(m):
-        hits = set()
-        for d in range(1, bound + 1):
-            if gcd(d, m) != 1:
-                continue
-            for n in range(-bound, bound + 1):
-                if gcd(abs(n), d) in (0, 1) and n % m == residue * d % m:
-                    hits.add(Fraction(n, d))
-        got = rational_reconstruct(residue, m, bound)
-        if len(hits) == 1:
-            assert got == next(iter(hits))
-        elif not hits:
-            assert got is None
-
-
-# ---------------------------------------------------------------------------
 # modular polynomials
 # ---------------------------------------------------------------------------
 
@@ -323,3 +262,46 @@ def test_modpoly_modulo_a_prime_power_past_a_machine_word():
     assert len(roots) == 8
     for r in newton_lift(f, roots, 73, 1, 16):
         assert 0 <= r < m and (r**8 - 2) % m == 0
+
+
+# ---------------------------------------------------------------------------
+# the p-adic layer: prime scan, integral model, proven precision
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", [
+    "x^2+1", "x^3-x-1", "x^4+1", "x^4-5/2*x^2+1/16", "x^6+x^3+1", "x^8-2",
+])
+def test_frobenius_scan_matches_powmod(text):
+    # every prime up to 60 but those dividing a denominator of f, each with
+    # f mod p and x^p mod (p, f) as a direct powmod computes them
+    f = parse_poly(text)
+    scanned = list(frobenius_scan(f, 2, 60))
+    assert [p for p, _, _ in scanned] == [
+        p for p in range(2, 61)
+        if is_prime(p) and all(c.denominator % p for c in f.coeffs)
+    ]
+    for p, fp, xp in scanned:
+        assert fp == ModPoly.from_upoly(f, p)
+        assert xp == ModPoly(p, [0, 1]).powmod(p, fp)
+
+
+def test_frobenius_scan_skips_a_denominator_prime():
+    # x^2+1/4 has no image mod 2; the scan starts at 3
+    f = P(Fraction(1, 4), 0, 1)
+    assert [p for p, _, _ in frobenius_scan(f, 2, 10)] == [3, 5, 7]
+
+
+def test_integral_model():
+    # x^2+1/4: D = 4 and F = 16*(y^2/16 + 1/4) = y^2 + 4
+    assert integral_model(P(Fraction(1, 4), 0, 1)) == (4, [4, 0, 1])
+    # x^2 - x/6 - 1/3: D = 6, F = y^2 - y - 12
+    assert integral_model(P(Fraction(-1, 3), Fraction(-1, 6), 1)) == (6, [-12, -1, 1])
+
+
+def test_lift_precision_is_the_least_above_twice_the_bound():
+    for p in (2, 3, 5, 17, 97):
+        for bound in (0, 1, 2, 8, 9, 10, 10**6, 7**20):
+            k = lift_precision(p, bound)
+            assert k >= 1 and p**k > 2 * bound
+            assert k == 1 or p ** (k - 1) <= 2 * bound
