@@ -67,6 +67,7 @@ from .galois import (
     find_split_prime,
     galois_group,
     hensel_lift,
+    minpoly_from_images,
 )
 from .criteria import (
     NormalReport,
@@ -120,7 +121,7 @@ __all__ = [
     # galois
     "SplitPrimeData", "find_split_prime", "hensel_lift", "Automorphism",
     "apply", "compose", "automorphisms", "automorphisms_with_diagnostics",
-    "GaloisGroup", "galois_group", "conjugate_vector",
+    "GaloisGroup", "galois_group", "conjugate_vector", "minpoly_from_images",
     # criteria
     "PrimitivityReport", "SeparabilityReport", "NormalReport", "is_primitive",
     "is_separable_ext", "is_galois", "normal_det", "is_normal_generator",

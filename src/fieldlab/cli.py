@@ -406,13 +406,21 @@ _DISPATCH = {
 }
 
 
+# the parser of main(), built on its first call: parse_args leaves a parser
+# unchanged, so one serves every call in a process
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
     argv = sys.argv[1:] if argv is None else argv
+    if _PARSER is None:
+        _PARSER = build_parser()
     # argparse takes any token that starts with '-' for an option; a leading
     # space keeps a negative polynomial or number a value (no option starts
     # with '-' and a digit, 'x' or '('; parse_poly, Fraction and int all
     # skip the space)
-    args = build_parser().parse_args(
+    args = _PARSER.parse_args(
         [" " + a if _NEGATIVE_VALUE.match(a) else a for a in argv]
     )
     started = time.monotonic()

@@ -1,7 +1,10 @@
 """Decidable characterizations: primitivity, separability, normality, density.
 
-Primitivity of a is tested purely through deg(minpoly(a)) = n — no splitting
-field is ever constructed.  Normality of a under a full automorphism group G
+Primitivity of a is deg(minpoly(a)) = n — no splitting field is ever
+constructed.  ``is_primitive`` solves for the minimal polynomial exactly; the
+searches with a Galois group read it from the images of a at the split
+prime, where n distinct images prove primitivity
+(``galois.minpoly_from_images``).  Normality of a under a full automorphism group G
 is the nonvanishing of det[(sigma tau)(a)], equivalently the conjugates of a
 forming a Q-basis; both routes are implemented so each can serve as the
 other's oracle.  The density probe proves "no low-degree relation" by full

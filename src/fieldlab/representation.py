@@ -3,9 +3,12 @@
 Everything here is a view of one object: the matrix of y -> a*y in the power
 basis.  Trace and norm are its diagonal sum and determinant; the minimal
 polynomial comes from the first linear dependency among powers of a, found by
-exact elimination rather than a characteristic-polynomial routine.  The trace
-form needs only the traces of the powers of theta, which Newton's identities
-give from the coefficients of f without building any matrix.
+exact elimination rather than a characteristic-polynomial routine.  The
+searches that hold a Galois group read most minimal polynomials from the
+split prime instead (``galois.minpoly_from_images``); there ``minpoly`` is
+the fallback for elements whose images collide.  The trace form needs only
+the traces of the powers of theta, which Newton's identities give from the
+coefficients of f without building any matrix.
 """
 
 from __future__ import annotations

@@ -10,6 +10,13 @@ Every search is one serial loop: enumerate by height, certify, commit.  A
 single certifier tests each candidate, hits are committed in enumeration
 order, and degree-1 fields, where the stream of non-rational candidates is
 empty, walk the rationals 1, 2, 3, ... through the same certifier.
+
+A value is primitive iff its minimal polynomial has degree n.  Searches
+with a Galois group (``normal``, ``norm-one --normal``) read that polynomial
+from the value's n images at the group's split prime, where n distinct
+images prove primitivity and one exact evaluation checks the polynomial
+(``galois.minpoly_from_images``); only values whose images collide, and the
+searches without a group, solve for it exactly (``representation.minpoly``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import (
     NotAField,
     TrivialExtension,
 )
-from .galois import GaloisGroup, galois_group
+from .galois import GaloisGroup, galois_group, minpoly_from_images
 from .numberfield import FieldElem, NumberField, make_field
 from .polynomials import UPoly, poly_eval
 from .representation import minpoly, norm
@@ -173,9 +180,16 @@ def _collect(gen: Iterator[WitnessedElement], count: int) -> list[WitnessedEleme
     raise AssertionError("hit stream ended without raising; unreachable")
 
 
-def _primitive_cert(E: NumberField, a: FieldElem) -> UPoly | None:
+def _minpoly(a: FieldElem, G: GaloisGroup | None) -> UPoly:
+    # from the images of a at G's split prime when they are distinct, else
+    # by exact elimination
+    mp = None if G is None else minpoly_from_images(G, a)
+    return minpoly(a) if mp is None else mp
+
+
+def _primitive_cert(E: NumberField, a: FieldElem, G: GaloisGroup | None) -> UPoly | None:
     # minpoly of a when a generates E, else None
-    mp = minpoly(a)
+    mp = _minpoly(a, G)
     return mp if mp.degree == E.degree else None
 
 
@@ -188,7 +202,7 @@ def _certifier(
         per = []
         for h in S:
             value = poly_eval(h, cand)
-            mp = _primitive_cert(E, value)
+            mp = _primitive_cert(E, value, G)
             if mp is None:
                 return None
             det = None
@@ -272,10 +286,10 @@ def _norm_one_engine(
         if a in seen:
             continue
         seen.add(a)
-        mp = minpoly(a)
+        mp = _minpoly(a, G)
         if mp.degree != n:
             raise AssertionError("b^n / N(b) lost primitivity")
-        norm_a = norm(a)
+        norm_a = (-1) ** n * mp.coeff(0)  # the product of the n conjugates
         if norm_a != 1:
             raise AssertionError("b^n / N(b) does not have norm 1")
         det = None

@@ -402,6 +402,25 @@ def test_subprocess_entry_point():
     assert doc["results"][0]["automorphism_count"] == 2
 
 
+def test_successive_calls_print_what_fresh_processes_print(capsys):
+    # main() reuses one parser: no flag or command of one call may leak into
+    # the next
+    calls = [
+        ["primitive", "x^3-2", "--count", "2", "--randomized", "--seed", "7"],
+        ["primitive", "x^3-2", "--count", "2"],
+        ["normal", "x^4+1", "--count", "2", "--json"],
+        ["normal", "x^4+1", "--count", "2"],
+        ["norm-one", "x^2+1", "--normal", "--count", "2"],
+        ["norm-one", "x^2+1", "--count", "2", "--json"],
+        ["pell", "--b=-1/2", "--c", "3", "--count", "2", "--max-height", "40"],
+    ]
+    for argv in calls:
+        code, out = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "fieldlab.cli", *argv],
+                              capture_output=True, text=True)
+        assert (code, strip_timings(out)) == (proc.returncode, strip_timings(proc.stdout)), argv
+
+
 # ---------------------------------------------------------------------------
 # environment overrides
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from fieldlab import (
     CertifiedSplitPrime,
     DegreeCapExceeded,
+    GaloisGroup,
     ModPoly,
     NotGalois,
+    SearchConfig,
     UPoly,
     ZeroDivisor,
     apply,
@@ -22,10 +25,13 @@ from fieldlab import (
     galois_group,
     hensel_lift,
     make_field,
+    minpoly,
     parse_poly,
     poly_eval,
+    search_normal,
 )
-from fieldlab.galois import DEFAULT_PRIME_BOUND, _lagrange_columns
+from fieldlab import galois, search
+from fieldlab.galois import DEFAULT_PRIME_BOUND, _lagrange_columns, minpoly_from_images
 from fieldlab.numberfield import _force_field
 from fieldlab.polynomials import mod_is_squarefree, primes_from
 from conftest import check_euler_coordinates, euler_bounds, field, random_elem
@@ -443,3 +449,53 @@ def test_lagrange_columns_invert_the_vandermonde(reference_fields, k):
             for s, other in enumerate(roots):
                 entry = sum(cols[t][i] * pow(other, i, m) for i in range(n)) % m
                 assert entry == (f.derivative()(root) if s == t else 0)
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials from the split-prime images
+# ---------------------------------------------------------------------------
+
+
+def test_nongenerators_take_the_exact_path():
+    E = field("x^4+1")
+    G = galois_group(E)
+    theta = E.gen()
+    for a in (E.from_rational(Fraction(3, 17)), theta ** 2, theta ** 2 / 17 + 5):
+        assert minpoly_from_images(G, a) is None
+        assert search._minpoly(a, G) == minpoly(a)
+        assert minpoly(a).degree < E.degree
+
+
+def test_group_without_split_prime_takes_the_exact_path():
+    E = field("x^2+1")
+    bare = GaloisGroup(E, automorphisms(E))
+    assert bare.split is None
+    assert minpoly_from_images(bare, E.gen()) is None
+
+
+def test_low_precision_raises_instead_of_answering(monkeypatch):
+    E = field("x^2+1")
+    G = galois_group(E)
+    big = E.element([100, 1])  # minpoly x^2 - 200x + 10001, far above p = 5
+    assert minpoly_from_images(G, big) == minpoly(big)
+    monkeypatch.setattr(galois, "lift_precision", lambda p, bound: 1)
+    with pytest.raises(AssertionError):
+        minpoly_from_images(G, big)
+    # the same through a search, which must emit nothing
+    monkeypatch.setattr(search, "galois_group", lambda E, **options: G)
+    cfg = SearchConfig(S=(UPoly([100, 1]),), count=1)
+    with pytest.raises(AssertionError):
+        search_normal(E, cfg)
+
+
+def test_deepest_lift_is_kept_and_walk_precision_is_not_touched():
+    E = field("x^4+1")
+    G = galois_group(E)
+    walk = G.split
+    a = E.element([10**30, 1, 0, 0])
+    assert minpoly_from_images(G, a) == minpoly(a)
+    assert G.split.precision > walk.precision
+    assert walk.precision == automorphisms_with_diagnostics(E)[1].precision
+    deep = G.split
+    assert minpoly_from_images(G, E.gen() + 1) == minpoly(E.gen() + 1)
+    assert G.split is deep
