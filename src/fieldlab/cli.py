@@ -8,10 +8,10 @@ document alone.  Identical arguments and seed produce byte-identical JSON
 except for the diagnostics.timings block.
 
 Exit codes: 0 success; 2 invalid input (syntax error, reducible polynomial,
-square discriminant, bad sample, an option out of range); 3 not Galois
-where the command requires it; 4 search budget exhausted (partial results
-are still emitted); 5 internal cap hit (degree cap, or no split prime while
-|Aut| may exceed 1).
+square discriminant, bad sample, a density grid of more than 10^5 points, an
+option out of range); 3 not Galois where the command requires it; 4 search
+budget exhausted (partial results are still emitted); 5 internal cap hit
+(degree cap, or no split prime while |Aut| may exceed 1).
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ EXIT_INVALID_INPUT = 2
 EXIT_NOT_GALOIS = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL_CAP = 5
+
+# the most points density-probe builds: 10^5 points take about a second and
+# 45 MB, ten times as many take 300 MB
+MAX_GRID_POINTS = 10**5
 
 _INVALID_INPUT_ERRORS = (
     PolySyntaxError,
@@ -255,10 +259,13 @@ def _cmd_density_probe(run: _Run) -> tuple[dict, int]:
         raise ValueError(f"--degree must be at least 0, got {d}")
     if m < 0:
         raise ValueError(f"--grid must be at least 0, got {m}")
-    # the grid has (2m+1)^k points: too few is decided before any is built
+    # the grid has (2m+1)^k points: too few or too many is decided before
+    # any is built
     needed, got = comb(len(polys) + d, d), (2 * m + 1) ** len(polys)
     if got < needed:
         raise InsufficientSample(needed, got)
+    if got > MAX_GRID_POINTS:
+        raise ValueError(f"--grid gives {got} points, more than {MAX_GRID_POINTS}")
     grid = [Fraction(t) for t in range(-m, m + 1)]
     points = list(itertools.product(*([h(t) for t in grid] for h in polys)))
     verdict = no_low_degree_relation(points, d)

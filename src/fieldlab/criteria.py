@@ -3,7 +3,7 @@
 Primitivity of a is deg(minpoly(a)) = n — no splitting field is ever
 constructed.  ``is_primitive`` solves for the minimal polynomial exactly; the
 searches with a Galois group read it from the images of a at the split
-prime, where n distinct images prove primitivity
+prime, whose distinct images are the distinct conjugates of a
 (``galois.minpoly_from_images``).  Normality of a under a full automorphism group G
 is the nonvanishing of det[(sigma tau)(a)], equivalently the conjugates of a
 forming a Q-basis; both routes are implemented so each can serve as the

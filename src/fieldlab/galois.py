@@ -36,11 +36,12 @@ the walk stops as soon as twice their number exceeds b.  An automorphism is
 keyed by r in its canonical integer form, so closing the group and
 tabulating it are set and dict lookups.
 
-A ``GaloisGroup`` keeps the walk's split prime: its n lifted roots are the n
-embeddings of E into Q_p, so the images of an element there are its
-conjugates.  ``minpoly_from_images`` reads a minimal polynomial from them,
-lifting the roots further when the element's Cauchy bound asks for it and
-keeping that deepest lift on the group, so later elements lift no more.
+A ``GaloisGroup`` keeps a split prime, the walk's or one it finds itself:
+its n lifted roots are the n embeddings of E into Q_p, so the images of an
+element there are its conjugates.  ``minpoly_from_images`` reads every
+minimal polynomial from them, at a precision that makes two images agree
+only for equal conjugates, and keeps the deepest lift on the group, so
+later elements lift no more.
 """
 
 from __future__ import annotations
@@ -297,10 +298,11 @@ class GaloisGroup:
     elements[0] is the identity; table[i][j] is the index of
     elements[i] composed with elements[j], found by looking up
     elements[i](elements[j].r) among the verified elements (KeyError if the
-    elements are not closed under composition).  split is the split prime
+    elements are not closed under composition).  split is a split prime
     with its n lifted roots, the n embeddings of the field into Q_p, that
-    ``minpoly_from_images`` reads; it holds the deepest lift asked of it so
-    far, and is None for a group built without one.
+    ``minpoly_from_images`` reads: the walk's when given, else the least
+    one ``find_split_prime`` finds.  It holds the deepest lift asked of it
+    so far.
     """
 
     __slots__ = ("field", "elements", "table", "split")
@@ -309,7 +311,7 @@ class GaloisGroup:
                  split: SplitPrimeData | None = None):
         self.field = field
         self.elements = tuple(elements)
-        self.split = split
+        self.split = find_split_prime(field) if split is None else split
         index = {a.r: i for i, a in enumerate(self.elements)}
         self.table = tuple(
             tuple(index[apply(a, b.r)] for b in self.elements)
@@ -336,50 +338,48 @@ def galois_group(E: NumberField, **options) -> GaloisGroup:
     return GaloisGroup(E, auts, data)
 
 
-def minpoly_from_images(G: GaloisGroup, a: FieldElem) -> UPoly | None:
-    """The minimal polynomial of a from its n images at G's split prime, when
-    they are distinct; None when two agree (or G has no split prime), and
-    the exact ``representation.minpoly`` decides.
+def minpoly_from_images(G: GaloisGroup, a: FieldElem) -> UPoly:
+    """The minimal polynomial of a from its n images at G's split prime.
 
     w = s*a with s = den(a)*D^(n-1) has the integer coordinates W_i =
-    num_i*D^(n-1-i) in powers of theta' = D*theta, so its images W(D*m_t)
-    need no division by p.  Every root of F has |alpha'| < B, the walk's
-    Cauchy bound, so |w(alpha')| <= M = sum |W_i| B^i and charpoly(w) has
-    integer coefficients at most C(n, i) M^i.  n distinct images prove that
-    a generates E, and then prod (x - v_t) read as symmetric residues is
-    minpoly(w); minpoly(a)(x) = minpoly(w)(s*x) / s^n.  One exact
+    num_i*D^(n-1-i) in powers of theta' = D*theta, so w is integral and its
+    images W(D*m_t) need no division by p.  Every root of F has |alpha'| <
+    B, the walk's Cauchy bound, so every conjugate of w has absolute value
+    at most M = sum |W_i| B^i.  E is Galois, so two conjugates sigma(w) !=
+    tau(w) differ by an integral delta in E with 0 < |N(delta)| <= (2M)^n,
+    and images that agree mod p^k make p^k divide N(delta).  So at the
+    least k with p^k > 2 (2M)^n two images agree exactly when the conjugates
+    are equal, and prod (x - v) over the d distinct images, read as
+    symmetric residues, is minpoly(w), whose coefficients C(d, i) M^i are
+    within the same bound; minpoly(a)(x) = minpoly(w)(s*x) / s^d.  One exact
     evaluation at a checks the result, so a wrong bound raises
     AssertionError instead of returning a wrong polynomial."""
     if G.field != a.parent:
         raise FieldMismatch("element does not live in the group's field")
-    data = G.split
-    if data is None:
-        return None
     n = G.field.degree
     den, F = integral_model(G.field.minpoly)
     cauchy = 1 + max(map(abs, F))
     W = [c * den ** (n - 1 - i) for i, c in enumerate(a.num)]
     M = sum(abs(c) * cauchy ** i for i, c in enumerate(W))
-    k = lift_precision(data.p, max(math.comb(n, i) * M ** i for i in range(n + 1)))
+    data = G.split
+    k = lift_precision(data.p, (2 * M) ** n)
     if k > data.precision:
         data = G.split = hensel_lift(data, k)
     modulus = data.p ** k
-    values = []
+    values = set()
     for m in data.lifted_roots:
         y = den * m % modulus
         v = 0
         for c in reversed(W):
             v = (v * y + c) % modulus
-        values.append(v)
-    if len(set(values)) < n:
-        return None
-    charpoly = [1]  # prod (x - v_t) mod p^k, lowest degree first
+        values.add(v)
+    poly = [1]  # prod (x - v) mod p^k over the distinct v, lowest degree first
     for v in values:
-        charpoly = [(shifted - v * c) % modulus
-                    for shifted, c in zip([0] + charpoly, charpoly + [0])]
-    s = a.den * den ** (n - 1)
-    mp = UPoly([Fraction(_symmetric(c, modulus), s ** (n - j))
-                for j, c in enumerate(charpoly)])
+        poly = [(shifted - v * c) % modulus
+                for shifted, c in zip([0] + poly, poly + [0])]
+    s, d = a.den * den ** (n - 1), len(values)
+    mp = UPoly([Fraction(_symmetric(c, modulus), s ** (d - j))
+                for j, c in enumerate(poly)])
     if not poly_eval(mp, a).is_zero:
         raise AssertionError("the minimal polynomial read at the split prime "
                              "does not vanish at the element")

@@ -361,29 +361,38 @@ def _add(a: FieldElem, b: FieldElem, sign: int) -> FieldElem:
     )
 
 
+def _mul_matrix(a: FieldElem) -> list[list[int]]:
+    """The integer matrix C of multiplication by a, as rows: with a = A / den
+    and theta**n = row0 / rden, column j holds the numerator of a*theta**j
+    over den*rden**j, so column j + 1 is rden*theta*(column j) reduced by
+    row0."""
+    E = a.parent
+    row0 = E._reduction_rows[0]
+    rden = E._reduction_den
+    col = list(a.num)
+    cols = [col]
+    for _ in range(E.degree - 1):
+        top = col[-1]
+        col = [rden * c + top * r for c, r in zip([0] + col[:-1], row0)]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
 def invert(a: FieldElem) -> FieldElem:
     """a**-1 by a fraction-free solve of (multiplication by a) x = 1.
 
-    With a = A / den and theta**n = row0 / rden, column j of the integer
-    matrix C holds the numerator of A*theta**j over rden**j; C z = e_0 gives
-    x_j = rden**j * z_j and a**-1 = den * x.  C is singular exactly when
-    rep(a) shares a factor with f: the field was built on an
-    AssumedIrreducible polynomial that is actually reducible, reported as
-    ZeroDivisor with the monic gcd(f, rep(a)) as witness.
+    With C = ``_mul_matrix(a)``, C z = e_0 gives x_j = rden**j * z_j and
+    a**-1 = den * x.  C is singular exactly when rep(a) shares a factor with
+    f: the field was built on an AssumedIrreducible polynomial that is
+    actually reducible, reported as ZeroDivisor with the monic gcd(f,
+    rep(a)) as witness.
     """
     if a.is_zero:
         raise DivisionByZero("inverse of zero")
     E = a.parent
     n = E.degree
-    row0 = E._reduction_rows[0]
     rden = E._reduction_den
-    col = list(a.num)
-    cols = []
-    for _ in range(n):
-        cols.append(col)
-        top = col[-1]
-        col = [rden * c + top * r for c, r in zip([0] + col[:-1], row0)]
-    m = [[c[i] for c in cols] + [int(i == 0)] for i in range(n)]
+    m = [row + [int(i == 0)] for i, row in enumerate(_mul_matrix(a))]
     if _bareiss_int(m) == 0:
         raise ZeroDivisor(poly_gcd(E.minpoly, a.as_poly()))
     # back substitution: with u the last pivot, u*z is integral (Cramer)

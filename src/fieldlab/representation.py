@@ -1,37 +1,32 @@
 """Multiplication operators on a number field and the data they carry.
 
 Everything here is a view of one object: the matrix of y -> a*y in the power
-basis.  Trace and norm are its diagonal sum and determinant; the minimal
-polynomial comes from the first linear dependency among powers of a, found by
-exact elimination rather than a characteristic-polynomial routine.  The
-searches that hold a Galois group read most minimal polynomials from the
-split prime instead (``galois.minpoly_from_images``); there ``minpoly`` is
-the fallback for elements whose images collide.  The trace form needs only
-the traces of the powers of theta, which Newton's identities give from the
-coefficients of f without building any matrix.
+basis, built on integer columns (``numberfield._mul_matrix``).  Trace and
+norm are its diagonal sum and determinant, the norm a fraction-free integer
+determinant; the minimal polynomial comes from the first linear dependency
+among powers of a, found by exact elimination rather than a
+characteristic-polynomial routine.  The searches that hold a Galois group
+read every minimal polynomial from the split prime instead
+(``galois.minpoly_from_images``).  The trace form needs only the traces of
+the powers of theta, which Newton's identities give from the coefficients of
+f without building any matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import QMatrix, rank_and_solve
-from .numberfield import FieldElem, NumberField
+from .linalg import QMatrix, _bareiss_int, rank_and_solve
+from .numberfield import FieldElem, NumberField, _mul_matrix
 from .polynomials import UPoly
 
 
 def regrep(a: FieldElem) -> QMatrix:
     """Matrix of multiplication by a; column j holds the coordinates of
     a*theta^j.  A ring homomorphism into n x n rational matrices."""
-    E = a.parent
-    n = E.degree
-    theta = E.gen()
-    cols = []
-    current = a
-    for _ in range(n):
-        cols.append(current.coeffs)
-        current = current * theta
-    return QMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    rden = a.parent._reduction_den
+    return QMatrix([[Fraction(c, a.den * rden**j) for j, c in enumerate(row)]
+                    for row in _mul_matrix(a)])
 
 
 def trace(a: FieldElem) -> Fraction:
@@ -40,8 +35,11 @@ def trace(a: FieldElem) -> Fraction:
 
 
 def norm(a: FieldElem) -> Fraction:
-    """Product of the conjugates of a, computed as det(regrep(a))."""
-    return regrep(a).det()
+    """Product of the conjugates of a: the determinant of the integer
+    matrix C of ``_mul_matrix`` over the scales den*rden**j of its columns."""
+    n = a.parent.degree
+    rden = a.parent._reduction_den
+    return Fraction(_bareiss_int(_mul_matrix(a)), a.den**n * rden**(n * (n - 1) // 2))
 
 
 def minpoly(a: FieldElem) -> UPoly:

@@ -13,10 +13,10 @@ empty, walk the rationals 1, 2, 3, ... through the same certifier.
 
 A value is primitive iff its minimal polynomial has degree n.  Searches
 with a Galois group (``normal``, ``norm-one --normal``) read that polynomial
-from the value's n images at the group's split prime, where n distinct
-images prove primitivity and one exact evaluation checks the polynomial
-(``galois.minpoly_from_images``); only values whose images collide, and the
-searches without a group, solve for it exactly (``representation.minpoly``).
+from the value's n images at the group's split prime, whose distinct images
+are its distinct conjugates and one exact evaluation checks the polynomial
+(``galois.minpoly_from_images``); the searches without a group solve for it
+exactly (``representation.minpoly``).
 """
 
 from __future__ import annotations
@@ -181,10 +181,8 @@ def _collect(gen: Iterator[WitnessedElement], count: int) -> list[WitnessedEleme
 
 
 def _minpoly(a: FieldElem, G: GaloisGroup | None) -> UPoly:
-    # from the images of a at G's split prime when they are distinct, else
-    # by exact elimination
-    mp = None if G is None else minpoly_from_images(G, a)
-    return minpoly(a) if mp is None else mp
+    # from the images of a at G's split prime, or by exact elimination
+    return minpoly(a) if G is None else minpoly_from_images(G, a)
 
 
 def _primitive_cert(E: NumberField, a: FieldElem, G: GaloisGroup | None) -> UPoly | None:

@@ -333,6 +333,17 @@ def test_density_probe_too_few_points_is_refused_quickly(capsys):
     assert "need at least 646646 sample points, got 59049" in capsys.readouterr().err
 
 
+def test_density_probe_too_many_points_is_refused_quickly(capsys):
+    # 6001^2 = 36,012,001 points: refused before the first is built
+    started = time.monotonic()
+    code = main(["density-probe", "x;x^2", "--degree", "1", "--grid", "3000"])
+    assert time.monotonic() - started < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--grid gives 36012001 points, more than 100000" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("option", ["--degree", "--grid"])
 def test_density_probe_negative_option(capsys, option):
     assert main(["density-probe", "x;x^2", option, "-1"]) == 2

@@ -26,6 +26,7 @@ from fieldlab import (
     hensel_lift,
     make_field,
     minpoly,
+    norm_one_normal,
     parse_poly,
     poly_eval,
     search_normal,
@@ -456,21 +457,34 @@ def test_lagrange_columns_invert_the_vandermonde(reference_fields, k):
 # ---------------------------------------------------------------------------
 
 
-def test_nongenerators_take_the_exact_path():
+def test_nongenerators_read_at_the_split_prime():
     E = field("x^4+1")
     G = galois_group(E)
     theta = E.gen()
     for a in (E.from_rational(Fraction(3, 17)), theta ** 2, theta ** 2 / 17 + 5):
-        assert minpoly_from_images(G, a) is None
-        assert search._minpoly(a, G) == minpoly(a)
         assert minpoly(a).degree < E.degree
+        assert minpoly_from_images(G, a) == minpoly(a)
+        assert search._minpoly(a, G) == minpoly(a)
 
 
-def test_group_without_split_prime_takes_the_exact_path():
+def test_group_without_split_prime_finds_one():
     E = field("x^2+1")
     bare = GaloisGroup(E, automorphisms(E))
-    assert bare.split is None
-    assert minpoly_from_images(bare, E.gen()) is None
+    assert bare.split == find_split_prime(E)
+    assert minpoly_from_images(bare, E.gen()) == minpoly(E.gen())
+
+
+def test_galois_searches_never_solve_exactly(monkeypatch):
+    # with G in hand every minimal polynomial is read at the split prime,
+    # also for the many candidates b in x^4+1 whose b^4 does not generate
+    # and so has colliding images (theta^4 = -1, for one)
+    def refuse(a):
+        raise AssertionError("exact minpoly called")
+
+    monkeypatch.setattr(search, "minpoly", refuse)
+    E = field("x^4+1")
+    assert len(norm_one_normal(E, 3)) == 3
+    assert len(search_normal(E, SearchConfig(S=(UPoly.monomial(4),), count=2))) == 2
 
 
 def test_low_precision_raises_instead_of_answering(monkeypatch):

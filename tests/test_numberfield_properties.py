@@ -1,6 +1,7 @@
-"""Property tests of the integer-numerator element core against plain
-Fraction arithmetic, on integral and non-integral defining polynomials, and
-of the modular rational-root search against the rational-root test."""
+"""Property tests of the integer-numerator element core, its multiplication
+matrix and norm against plain Fraction arithmetic, on integral and
+non-integral defining polynomials, and of the modular rational-root search
+against the rational-root test."""
 
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from fieldlab import UPoly, ZeroDivisor, poly_gcd  # noqa: E402
+from fieldlab import QMatrix, UPoly, ZeroDivisor, norm, poly_gcd, regrep  # noqa: E402
 from fieldlab.numberfield import _force_field, _rational_root, invert  # noqa: E402
 
 RATIONALS = st.fractions(-9, 9, max_denominator=6)
@@ -78,6 +79,15 @@ def test_arithmetic_matches_fractions(integral, data):
         assert e.coeffs == tuple(expected)
         assert_canonical(e)
     assert (a * q) / q == a and hash((a * q) / q) == hash(a)
+
+    # column j of the multiplication matrix holds a*theta^j; the norm is its
+    # determinant
+    cols = [list(ca)]
+    for _ in range(n - 1):
+        cols.append(schoolbook_product(E.minpoly, cols[-1], E.gen().coeffs))
+    schoolbook = QMatrix([list(row) for row in zip(*cols)])
+    assert regrep(a) == schoolbook
+    assert norm(a) == schoolbook.det()
 
     if a.is_zero:
         return
