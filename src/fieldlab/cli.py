@@ -140,10 +140,11 @@ class _Run:
         # the permutation walk grows like n!: past degree 8 it runs for minutes
         if not 1 <= degree_cap <= SPLIT_DEGREE_CAP:
             raise ValueError(f"degree cap must be in 1..{SPLIT_DEGREE_CAP}, got {degree_cap}")
-        self.aut_options = {
-            "degree_cap": degree_cap,
-            "prime_bound": DEFAULT_PRIME_BOUND if args.prime_bound is None else args.prime_bound,
-        }
+        prime_bound = DEFAULT_PRIME_BOUND if args.prime_bound is None else args.prime_bound
+        # no prime lies below 2: the scan would only end in exit 5
+        if prime_bound < 2:
+            raise ValueError(f"prime bound must be at least 2, got {prime_bound}")
+        self.aut_options = {"degree_cap": degree_cap, "prime_bound": prime_bound}
         self.mode = "randomized" if args.randomized else "deterministic"
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
@@ -267,13 +268,19 @@ def _cmd_density_probe(run: _Run) -> tuple[dict, int]:
     if got > MAX_GRID_POINTS:
         raise ValueError(f"--grid gives {got} points, more than {MAX_GRID_POINTS}")
     grid = [Fraction(t) for t in range(-m, m + 1)]
-    points = list(itertools.product(*([h(t) for t in grid] for h in polys)))
-    verdict = no_low_degree_relation(points, d)
+    values = [[h(t) for t in grid] for h in polys]
+    # a coordinate x_i that takes at most d values A on the grid is a
+    # witness: prod over a in A of (x_i - a) has degree <= d and vanishes on
+    # every point, so no point is built
+    if any(len(set(v)) <= d for v in values):
+        verdict = False
+    else:
+        verdict = no_low_degree_relation(list(itertools.product(*values)), d)
     report = {
         "polynomials": [format_poly(h) for h in polys],
         "relation_degree": d,
         "grid": m,
-        "points": len(points),
+        "points": got,
         "no_relation": verdict,
     }
     return run.document("density-probe", None, [report]), EXIT_OK

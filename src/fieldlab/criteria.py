@@ -14,9 +14,9 @@ exactly over Q only when that rank falls short.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
+from typing import NamedTuple
 
 from .errors import InsufficientSample
 from .galois import GaloisGroup, automorphisms, conjugate_vector
@@ -26,23 +26,20 @@ from .polynomials import UPoly, squarefree_part
 from .representation import minpoly, trace_gram
 
 
-@dataclass(frozen=True)
-class PrimitivityReport:
+class PrimitivityReport(NamedTuple):
     element: FieldElem
     minpoly_degree: int
     squarefree: bool
     is_primitive: bool
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
+class SeparabilityReport(NamedTuple):
     gram_det: Fraction
     nonzero_trace_power: int  # exponent i with trace(theta^i) != 0
     is_separable: bool
 
 
-@dataclass(frozen=True)
-class NormalReport:
+class NormalReport(NamedTuple):
     element: FieldElem
     det_value: FieldElem
     is_normal: bool

@@ -47,9 +47,9 @@ later elements lift no more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .errors import (
     DegreeCapExceeded,
@@ -76,8 +76,7 @@ DEFAULT_DEGREE_CAP = SPLIT_DEGREE_CAP
 DEFAULT_PRIME_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class SplitPrimeData:
+class SplitPrimeData(NamedTuple):
     """A prime with the roots of f modulo it lifted to precision p^k: all n
     roots at a split prime, the one root at a prime that proves Aut = {id}."""
 

@@ -14,16 +14,13 @@ that callers use as a filter in front of exact elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Generic, Sequence, TypeVar
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 
 if TYPE_CHECKING:
     from .numberfield import FieldElem, NumberField
-
-T = TypeVar("T")
 
 # The prime of the modular rank filter (_rank_mod): the Mersenne prime
 # 2^61 - 1.  A matrix of rank r over Q, its rows cleared of denominators, has
@@ -166,15 +163,14 @@ def _frac(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
-@dataclass
-class SolveResult(Generic[T]):
+class SolveResult(NamedTuple):
     """Outcome of rank_and_solve: rank, one solution of M x = rhs (free
     variables pinned to zero; None if inconsistent or no rhs given), and a
     kernel basis (one vector per free column, deterministic order)."""
 
     rank: int
-    solution: list[T] | None
-    kernel: list[list[T]]
+    solution: list | None
+    kernel: list[list]
 
 
 def rank_and_solve(matrix, rhs=None) -> SolveResult:

@@ -34,10 +34,9 @@ are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     ConstantPolynomial,
@@ -68,15 +67,13 @@ CERT_PRIME_BOUND = 200
 SPLIT_DEGREE_CAP = 8
 
 
-@dataclass(frozen=True)
-class CertifiedModP:
+class CertifiedModP(NamedTuple):
     """f mod prime is irreducible over GF(prime), hence f is irreducible over Q."""
 
     prime: int
 
 
-@dataclass(frozen=True)
-class CertifiedSplitPrime:
+class CertifiedSplitPrime(NamedTuple):
     """f splits into distinct linear factors mod prime, and no product of at
     most n/2 of its roots, lifted to prime**precision, is a factor over Q."""
 
@@ -84,8 +81,7 @@ class CertifiedSplitPrime:
     precision: int
 
 
-@dataclass(frozen=True)
-class AssumedIrreducible:
+class AssumedIrreducible(NamedTuple):
     """No modular certificate found; reducibility shows up lazily as ZeroDivisor."""
 
 

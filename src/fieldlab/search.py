@@ -22,10 +22,9 @@ exactly (``representation.minpoly``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .criteria import normal_det
 from .errors import (
@@ -43,33 +42,38 @@ DEFAULT_MAX_HEIGHT = 1000
 _DRAWS_PER_HEIGHT = 50
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """What to search for and how hard to try."""
-
+class _SearchFields(NamedTuple):
+    # the fields of SearchConfig; its __new__ holds their defaults and checks
     S: tuple[UPoly, ...]
     count: int
-    max_height: int = DEFAULT_MAX_HEIGHT
-    seed: int = 0
-    mode: str = "deterministic"
+    max_height: int
+    seed: int
+    mode: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "S", tuple(self.S))
-        if not self.S:
+
+class SearchConfig(_SearchFields):
+    """What to search for and how hard to try."""
+
+    __slots__ = ()
+
+    def __new__(cls, S, count, max_height=DEFAULT_MAX_HEIGHT, seed=0,
+                mode="deterministic"):
+        S = tuple(S)
+        if not S:
             raise ValueError("S must be a non-empty set of polynomials")
-        for h in self.S:
+        for h in S:
             if h.degree < 1:
                 raise ConstantPolynomial(f"constant polynomial in S: {h}")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("count must be at least 1")
-        if self.max_height < 1:
+        if max_height < 1:
             raise ValueError("max_height must be at least 1")
-        if self.mode not in ("deterministic", "randomized"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if mode not in ("deterministic", "randomized"):
+            raise ValueError(f"unknown mode {mode!r}")
+        return super().__new__(cls, S, count, max_height, seed, mode)
 
 
-@dataclass(frozen=True)
-class PerH:
+class PerH(NamedTuple):
     """Certificate for one polynomial of the search set at one hit."""
 
     h: UPoly
@@ -78,8 +82,7 @@ class PerH:
     normal_det: FieldElem | None
 
 
-@dataclass(frozen=True)
-class WitnessedElement:
+class WitnessedElement(NamedTuple):
     """A search hit together with everything needed to re-check it."""
 
     a: FieldElem

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fieldlab import NumberField, UPoly, make_field, parse_poly
+from fieldlab import NumberField, UPoly, make_field, parse_poly, poly_eval
 
 # Defining polynomials exercised throughout the suite.  Degrees 2..4 cover
 # quadratic, non-Galois cubic, and three flavors of quartic Galois group
@@ -26,6 +26,11 @@ GALOIS_POLYS = ["x^2+1", "x^2-2", "x^4-10*x^2+1", "x^4+x^3+x^2+x+1", "x^4+1"]
 
 def field(text: str) -> NumberField:
     return make_field(parse_poly(text))
+
+
+def shifted(text: str, k: int) -> NumberField:
+    """The field of f(x + k)."""
+    return make_field(poly_eval(parse_poly(text), UPoly([k, 1])))
 
 
 def euler_bounds(E: NumberField) -> tuple[int, list[int]]:

@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, JSON schema, re-verifiable documents, determinism."""
 
+import itertools
 import json
+import math
 import random
 import re
 import subprocess
@@ -16,6 +18,7 @@ from fieldlab import (
     galois_group,
     make_field,
     minpoly,
+    no_low_degree_relation,
     norm,
     parse_poly,
     poly_eval,
@@ -237,6 +240,17 @@ def test_normal_commands_take_the_automorphism_options(capsys, command, option):
     assert main(list(command)) == 0
 
 
+@pytest.mark.parametrize("bound", ["-5", "0", "1"])
+@pytest.mark.parametrize("command", [("analyze", "x^4+1"), ("normal", "x^4+1"),
+                                     ("norm-one", "x^4+1", "--normal")])
+def test_exit_2_on_prime_bound_below_two(capsys, command, bound):
+    # no prime lies below 2: refused before the scan, not reported as exit 5
+    started = time.monotonic()
+    assert main([*command, "--prime-bound", bound]) == 2
+    assert time.monotonic() - started < 1
+    assert f"prime bound must be at least 2, got {bound}" in capsys.readouterr().err
+
+
 def test_normal_commands_take_the_env_degree_cap(capsys, monkeypatch):
     monkeypatch.setenv("FIELDLAB_DEGREE_CAP", "2")
     assert main(["normal", "x^4+1"]) == 5
@@ -381,6 +395,46 @@ def test_density_probe_large_grid_is_quick(capsys):
     assert time.monotonic() - started < 10
     assert code == 0
     assert doc["results"][0]["no_relation"] is True
+
+
+def test_density_probe_witness_agrees_with_elimination(capsys):
+    # where some value set h_i(grid) has at most d elements, the CLI answers
+    # "relation exists" without building a point; no_low_degree_relation on
+    # the built points must say the same
+    rng = random.Random(13)
+    fired = 0
+    for _ in range(40):
+        polys = [UPoly([rng.randint(-2, 2) for _ in range(k)] + [1])
+                 for k in rng.sample([1, 2, 3, 4], 2)]
+        grid, degree = rng.randint(1, 3), rng.randint(2, 5)
+        values = [[poly_eval(h, Fraction(t)) for t in range(-grid, grid + 1)]
+                  for h in polys]
+        if min(len(set(v)) for v in values) > degree:
+            continue
+        points = list(itertools.product(*values))
+        if len(points) < math.comb(len(polys) + degree, degree):
+            continue
+        fired += 1
+        code, doc = run_json(capsys, "density-probe", ";".join(str(h) for h in polys),
+                             "--degree", str(degree), "--grid", str(grid))
+        assert code == 0
+        report = doc["results"][0]
+        assert report["points"] == len(points)
+        assert report["no_relation"] is no_low_degree_relation(points, degree) is False
+    assert fired >= 10
+
+
+@pytest.mark.parametrize("degree", ["5", "7"])
+def test_density_probe_witness_is_quick(capsys, degree):
+    # x^2 takes 5 values on the grid ±4, so x_1 (x_1-1) (x_1-4) (x_1-9)
+    # (x_1-16) vanishes on all 729 points: exact elimination took seconds
+    started = time.monotonic()
+    code, doc = run_json(capsys, "density-probe", "x^2;x^3;x^5",
+                         "--degree", degree, "--grid", "4")
+    assert time.monotonic() - started < 1
+    assert code == 0
+    assert doc["results"][0]["points"] == 729
+    assert doc["results"][0]["no_relation"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,9 @@ from fieldlab import galois, search
 from fieldlab.galois import DEFAULT_PRIME_BOUND, _lagrange_columns, minpoly_from_images
 from fieldlab.numberfield import _force_field
 from fieldlab.polynomials import mod_is_squarefree, primes_from
-from conftest import check_euler_coordinates, euler_bounds, field, random_elem
+from conftest import check_euler_coordinates, euler_bounds, field, random_elem, shifted
 
 RATIONAL_POLYS = ["x^2+1/4", "x^4+1/16", "x^4-5/2*x^2+1/16"]
-
-
-def shifted(text: str, k: int):
-    # the field of f(x + k)
-    return make_field(poly_eval(parse_poly(text), UPoly([k, 1])))
 
 
 def assert_proven_precision(E, data):
