@@ -4,11 +4,13 @@ An automorphism of E = Q[x]/(f) is determined by the image r of the
 generator, and r must be a root of f in E.  The engine finds every such r:
 
   1. scan the primes p where f mod p is defined and squarefree, counting
-     the roots of f mod p from x^p mod (p, f) (``polynomials.frobenius_scan``,
-     the scan ``make_field`` certifies from), until one count is 1 or one
-     prime splits f into n distinct linear factors,
+     the roots of f mod p from x^p mod (p, f), until one count is 1 or one
+     prime splits f into n distinct linear factors; the triples that
+     ``make_field`` computed and kept on the field (``NumberField.scan``)
+     come first, and ``polynomials.frobenius_scan`` resumes after the last,
   2. Hensel-lift the n roots at the split prime, once, to a precision p^k
-     proven from f alone (below),
+     proven from f alone (below), starting from the lift ``make_field`` kept
+     when it certified f at that prime, and truncating a deeper one,
   3. for each permutation hypothesis pi of the root labels, read the integer
      coefficients of H = F'(theta')*sigma(theta') from the Lagrange form
      sum_t m_pi(t) F/(y - m_t) mod p^k, and
@@ -32,9 +34,16 @@ p and has a root m, sigma -> sigma(theta) mod (p, theta - m) is injective
 into the roots of f mod p, so the least such count b bounds |Aut|.  A count
 of 1 proves Aut = {id} at once.  Otherwise the maps found are closed under
 composition, so they form a subgroup whose order divides |Aut| <= b, and
-the walk stops as soon as twice their number exceeds b.  An automorphism is
-keyed by r in its canonical integer form, so closing the group and
-tabulating it are set and dict lookups.
+the walk stops as soon as twice their number exceeds b.
+
+The walk keys each map by its root permutation pi at the split prime: sigma
+followed by the embedding theta -> m_t is the embedding theta -> m_pi(t), so
+s after t has the permutation (pi_t[pi_s[u]] for u).  The closure composes
+permutations and reads the map of a new one from the same Lagrange H, and
+``GaloisGroup`` tabulates the group from them by lookup.  Each map carries
+its conjugation matrix, the numerators of r^0, ..., r^(n-1) over one
+denominator, taken from the powers of r that its check f(r) = 0 computes,
+so sigma(a) is one integer matrix-vector product.
 
 A ``GaloisGroup`` keeps a split prime, the walk's or one it finds itself:
 its n lifted roots are the n embeddings of E into Q_p, so the images of an
@@ -49,6 +58,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -58,7 +68,13 @@ from .errors import (
     NotGalois,
     ZeroDivisor,
 )
-from .numberfield import SPLIT_DEGREE_CAP, FieldElem, NumberField
+from .numberfield import (
+    SPLIT_DEGREE_CAP,
+    CertifiedSplitPrime,
+    FieldElem,
+    NumberField,
+    _canonical,
+)
 from .polynomials import (
     ModPoly,
     UPoly,
@@ -90,11 +106,24 @@ class SplitPrimeData(NamedTuple):
         return self.p ** self.precision
 
 
-def _root_counts(f, min_p: int, bound: int):
+def _scan(E: NumberField, lo: int, hi: int):
+    # (p, f mod p, x^p mod (p, f)) at the primes lo <= p <= hi: those
+    # make_field scanned first, then frobenius_scan past the last of them
+    last = 1
+    for step in E.scan:
+        last = step[0]
+        if last > hi:
+            return
+        if last >= lo:
+            yield step
+    yield from frobenius_scan(E.minpoly, max(lo, last + 1), hi)
+
+
+def _root_counts(E: NumberField, min_p: int, bound: int):
     # (p, f mod p, r) for the primes p in [min_p, bound] of the prime scan
     # where f mod p has r >= 1 distinct roots and is squarefree: r = deg
     # gcd(f, x^p - x), and r = n says x^p = x mod (f, p), that is, f splits
-    for p, fp, xp in frobenius_scan(f, min_p, bound):
+    for p, fp, xp in _scan(E, min_p, bound):
         count = fp.gcd(xp - ModPoly(p, [0, 1])).degree
         if count and mod_is_squarefree(fp):
             yield p, fp, count
@@ -110,7 +139,7 @@ def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
     the first prime of the root-count scan whose count is n.  min_p exists
     so callers can force a second, independent prime.
     """
-    for p, fp, count in _root_counts(E.minpoly, min_p, bound):
+    for p, fp, count in _root_counts(E, min_p, bound):
         if count == E.degree:
             return _roots_at(E, p, fp)
     raise NoSplitPrimeFound(bound)
@@ -125,17 +154,45 @@ def hensel_lift(data: SplitPrimeData, target_k: int) -> SplitPrimeData:
     return SplitPrimeData(data.field, data.p, roots, target_k)
 
 
-class Automorphism:
-    """Field map determined by theta -> r where f(r) = 0; verified at birth."""
+def _split_roots(E: NumberField, p: int, fp: ModPoly, k: int) -> SplitPrimeData:
+    # the n roots mod p^k at the split prime p, ascending mod p: lifted on
+    # from, or truncated from, the lift make_field kept when it certified
+    # f at p, else lifted from the roots mod p
+    cert = E.certificate
+    if E.split_roots and isinstance(cert, CertifiedSplitPrime) and cert.prime == p:
+        kept = tuple(m % p ** k for m in E.split_roots)
+        return hensel_lift(SplitPrimeData(E, p, kept, min(k, cert.precision)), k)
+    return hensel_lift(_roots_at(E, p, fp), k)
 
-    __slots__ = ("parent", "r")
+
+class Automorphism:
+    """Field map determined by theta -> r where f(r) = 0; verified at birth.
+
+    matrix is its conjugation matrix over den: column j holds the
+    numerators of r^j over that one common denominator, so sigma(a) is
+    matrix . num(a) / (den * den(a)).  It comes from the powers of r that
+    the check f(r) = 0 computes."""
+
+    __slots__ = ("parent", "r", "matrix", "den")
 
     def __init__(self, parent: NumberField, r: FieldElem):
         parent._check_same(r.parent)
-        if not poly_eval(parent.minpoly, r).is_zero:
-            raise ValueError("generator image is not a root of the defining polynomial")
+        n = parent.degree
+        powers = [parent.one(), r]
+        while len(powers) <= n:
+            powers.append(powers[-1] * r)
+        top = powers.pop()
+        den = math.lcm(*(q.den for q in powers))
+        cols = [[c * (den // q.den) for c in q.num] for q in powers]
+        # f(r) = 0 says r^n = sum_j row0_j r^j / rden, the reduction of theta^n
+        row0, rden = parent._reduction_rows[0], parent._reduction_den
+        for i, c in enumerate(top.num):
+            if rden * den * c != top.den * sum(a * col[i] for a, col in zip(row0, cols)):
+                raise ValueError("generator image is not a root of the defining polynomial")
         self.parent = parent
         self.r = r
+        self.matrix = tuple(zip(*cols))
+        self.den = den
 
     @property
     def is_identity(self) -> bool:
@@ -156,30 +213,35 @@ class Automorphism:
         return f"Automorphism(θ ↦ {self.r})"
 
 
-def apply(s: Automorphism, a: FieldElem) -> FieldElem:
-    """sigma(a): substitute sigma(theta) into the power-basis form of a,
-    by Horner on the integer numerators and one division by the denominator."""
-    if s.parent != a.parent:
-        raise FieldMismatch("automorphism and element live in different fields")
+def _image(s: Automorphism, a: FieldElem) -> FieldElem:
+    # sigma(a): one integer matrix-vector product, one canonical form
     num = a.num
-    acc = s.parent.from_rational(num[-1])
-    for c in num[-2::-1]:
-        acc = acc * s.r + c
-    return acc / a.den
+    return _canonical(s.parent, [sum(map(mul, row, num)) for row in s.matrix],
+                      s.den * a.den)
+
+
+def apply(s: Automorphism, a: FieldElem) -> FieldElem:
+    """sigma(a) from sigma's conjugation matrix and the numerators of a."""
+    if s.parent is not a.parent and s.parent != a.parent:
+        raise FieldMismatch("automorphism and element live in different fields")
+    return _image(s, a)
 
 
 def compose(s: Automorphism, t: Automorphism) -> Automorphism:
     """s after t: theta -> s(t(theta))."""
     if s.parent != t.parent:
         raise FieldMismatch("cannot compose automorphisms of different fields")
-    return Automorphism(s.parent, apply(s, t.r))
+    return Automorphism(s.parent, _image(s, t.r))
 
 
-def _root_label(aut: Automorphism, roots_mod_p: tuple[int, ...], p: int) -> int:
-    # the root that aut sends the first root to, as an index into roots_mod_p
-    r = aut.r
-    image = ModPoly(p, r.num)(roots_mod_p[0]) * pow(r.den, -1, p) % p
-    return roots_mod_p.index(image)
+def _root_permutation(s: Automorphism, roots_mod_p: list[int], p: int) -> tuple[int, ...]:
+    # pi with s(theta) = m_pi(t) at the embedding theta -> m_t, as indices
+    # into roots_mod_p: an embedding after s is the embedding at m_pi(t),
+    # so s after t has the permutation (pi_t[pi_s[u]] for u)
+    r = s.r
+    rep = ModPoly(p, r.num)
+    inv = pow(r.den, -1, p)
+    return tuple(roots_mod_p.index(rep(m) * inv % p) for m in roots_mod_p)
 
 
 def _lagrange_columns(f: ModPoly, roots: tuple[int, ...]) -> list[list[int]]:
@@ -222,66 +284,80 @@ def automorphisms_with_diagnostics(
         raise DegreeCapExceeded(n, degree_cap)
     identity = Automorphism(E, E.gen())
     b = n  # the least root count so far, a bound on |Aut|
-    for p, fp, count in _root_counts(E.minpoly, min_prime, prime_bound):
+    for p, fp, count in _root_counts(E, min_prime, prime_bound):
         b = min(b, count)
         if b == 1:
             return [identity], _roots_at(E, p, fp)
         if count == n:
-            base = _roots_at(E, p, fp)
             break
     else:
         raise NoSplitPrimeFound(prime_bound)
-    found = {identity}
-    achieved = {_root_label(identity, base.lifted_roots, base.p): identity}
-
-    def absorb(aut: Automorphism) -> None:
-        # close under composition, each new element composed once with
-        # every known one but the identity, both ways; every product is
-        # again a root of f
-        todo = [aut]
-        while todo:
-            a = todo.pop()
-            if a in found:
-                continue
-            label = _root_label(a, base.lifted_roots, base.p)
-            if label in achieved:
-                raise ZeroDivisor(poly_gcd(E.minpoly, (a.r - achieved[label].r).as_poly()))
-            todo.extend(compose(a, s) for s in found if s is not identity)
-            todo.extend(compose(s, a) for s in found if s is not identity)
-            todo.append(compose(a, a))
-            found.add(a)
-            achieved[label] = a
 
     f = E.minpoly
     den, F = integral_model(f)
     cauchy = 1 + max(map(abs, F))
     bounds = [n * cauchy * math.comb(n - 1, i) * cauchy ** (n - 1 - i) for i in range(n)]
-    data = hensel_lift(base, lift_precision(base.p, max(bounds)))
+    data = _split_roots(E, p, fp, lift_precision(p, max(bounds)))
     modulus = data.modulus
     roots = [den * m % modulus for m in data.lifted_roots]  # the roots of F
     cols = _lagrange_columns(ModPoly(modulus, F), roots)
     # r = H(den*theta) / (den^n f'(theta)), as F'(den*theta) = den^(n-1) f'(theta)
     scale = 1 / (E.reduce_poly(f.derivative()) * den ** n)
-    for pi in permutations(range(n)):
-        if 2 * len(found) > b:
-            break
-        if pi[0] in achieved:
-            continue
-        images = [roots[j] for j in pi]
+
+    def read(pi: tuple[int, ...]) -> FieldElem | None:
+        # theta -> r with r(m_t) = m_pi(t) at every embedding, read from H,
+        # or None at the first coefficient of H out of its bound.
         # H_(n-1) = trace(theta') = -F_(n-1) whatever pi is; below it, the
         # top coefficients have the least bounds and reject most pi
+        images = [roots[j] for j in pi]
         H = [0] * (n - 1) + [-F[n - 1] * den ** (n - 1)]
         for i in reversed(range(n - 1)):
             h = sum(col[i] * m for col, m in zip(cols, images))
             h = _symmetric(h % modulus, modulus)
             if abs(h) > bounds[i]:
-                break
+                return None
             H[i] = h * den ** i
-        else:
-            candidate = E.element(H) * scale
-            if poly_eval(f, candidate).is_zero:
-                absorb(Automorphism(E, candidate))
-    ordered = sorted(found, key=lambda a: a.r.coeffs)
+        return E.element(H) * scale
+
+    # each map found, keyed by its root permutation, and by the image of
+    # root 0, which alone fixes an automorphism of a field
+    found = {tuple(range(n)): identity}
+    achieved = {0: identity}
+
+    def absorb(pi: tuple[int, ...], aut: Automorphism) -> None:
+        # close under composition, each new element composed once with
+        # every known one but the identity, both ways, on permutations; a
+        # product's map is read and verified only when it is new
+        todo = [(pi, aut)]
+        while todo:
+            pi, aut = todo.pop()
+            if pi in found:
+                continue
+            if aut is None:  # a product, so its H is in bound and r a root
+                aut = Automorphism(E, read(pi))
+            if pi[0] in achieved:
+                raise ZeroDivisor(poly_gcd(f, (aut.r - achieved[pi[0]].r).as_poly()))
+            others = [q for q, s in found.items() if s is not identity]
+            todo.extend((tuple(q[i] for i in pi), None) for q in others)
+            todo.extend((tuple(pi[i] for i in q), None) for q in others)
+            todo.append((tuple(pi[i] for i in pi), None))
+            found[pi] = aut
+            achieved[pi[0]] = aut
+
+    for pi in permutations(range(n)):
+        if 2 * len(found) > b:
+            break
+        if pi[0] in achieved:
+            continue
+        r = read(pi)
+        if r is None:
+            continue
+        try:
+            aut = Automorphism(E, r)
+        except ValueError:
+            continue  # H in bound, but r is no root of f
+        absorb(pi, aut)
+    ordered = sorted(found.values(), key=lambda a: a.r.coeffs)
     ordered.remove(identity)
     return [identity] + ordered, data
 
@@ -295,8 +371,8 @@ class GaloisGroup:
     """Automorphism group of a Galois field with its composition table.
 
     elements[0] is the identity; table[i][j] is the index of
-    elements[i] composed with elements[j], found by looking up
-    elements[i](elements[j].r) among the verified elements (KeyError if the
+    elements[i] composed with elements[j], looked up by its root
+    permutation at the split prime, composed from theirs (KeyError if the
     elements are not closed under composition).  split is a split prime
     with its n lifted roots, the n embeddings of the field into Q_p, that
     ``minpoly_from_images`` reads: the walk's when given, else the least
@@ -311,10 +387,13 @@ class GaloisGroup:
         self.field = field
         self.elements = tuple(elements)
         self.split = find_split_prime(field) if split is None else split
-        index = {a.r: i for i, a in enumerate(self.elements)}
+        p = self.split.p
+        roots = [m % p for m in self.split.lifted_roots]
+        perms = [_root_permutation(a, roots, p) for a in self.elements]
+        index = {pi: i for i, pi in enumerate(perms)}
         self.table = tuple(
-            tuple(index[apply(a, b.r)] for b in self.elements)
-            for a in self.elements
+            tuple(index[tuple(q[u] for u in pi)] for q in perms)
+            for pi in perms
         )
 
     @property
@@ -386,7 +465,8 @@ def minpoly_from_images(G: GaloisGroup, a: FieldElem) -> UPoly:
 
 
 def conjugate_vector(G: GaloisGroup, a: FieldElem) -> tuple[FieldElem, ...]:
-    """(sigma(a)) over the group in canonical order; componentwise a ring map."""
+    """(sigma(a)) over the group in canonical order, one matrix-vector
+    product each; componentwise a ring map."""
     if G.field != a.parent:
         raise FieldMismatch("element does not live in the group's field")
-    return tuple(apply(s, a) for s in G.elements)
+    return tuple(_image(s, a) for s in G.elements)

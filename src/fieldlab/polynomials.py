@@ -61,6 +61,10 @@ class UPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ is closed
+        return (UPoly, (self.coeffs,))
+
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "UPoly":
         return cls([0] * degree + [coeff])

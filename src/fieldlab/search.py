@@ -16,7 +16,9 @@ with a Galois group (``normal``, ``norm-one --normal``) read that polynomial
 from the value's n images at the group's split prime, whose distinct images
 are its distinct conjugates and one exact evaluation checks the polynomial
 (``galois.minpoly_from_images``); the searches without a group solve for it
-exactly (``representation.minpoly``).
+exactly (``representation.minpoly``).  A norm-one value b^n / N(b) takes
+the certified minimal polynomial of b^n, rescaled, and one exact evaluation
+checks it.
 """
 
 from __future__ import annotations
@@ -287,7 +289,11 @@ def _norm_one_engine(
         if a in seen:
             continue
         seen.add(a)
-        mp = _minpoly(a, G)
+        # a = b^n / N(b), so its minimal polynomial is that of b^n, which
+        # the hit certified, scaled: coefficient j is g_j N(b)^(j - n)
+        mp = UPoly([g * norm_b ** (j - n) for j, g in enumerate(hit.min_poly.coeffs)])
+        if not poly_eval(mp, a).is_zero:
+            raise AssertionError("the scaled minimal polynomial does not vanish at b^n / N(b)")
         if mp.degree != n:
             raise AssertionError("b^n / N(b) lost primitivity")
         norm_a = (-1) ** n * mp.coeff(0)  # the product of the n conjugates

@@ -1,5 +1,7 @@
 """Field construction, certificates, and exact element arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,12 +17,14 @@ from fieldlab import (
     FieldMismatch,
     NotSquarefree,
     RationalRoot,
+    SearchConfig,
     UPoly,
     ZeroDivisor,
     make_field,
     parse_poly,
 )
 from fieldlab.numberfield import _force_field, invert
+from fieldlab.polynomials import frobenius_scan, is_prime
 from conftest import field, random_elem, random_nonzero_elem
 
 
@@ -223,3 +227,60 @@ def test_str_rendering(qi):
     assert str(qi.element([Fraction(3, 5), Fraction(4, 5)])) == "3/5 + 4/5*θ"
     assert str(qi.zero()) == "0"
     assert str(qi.element([0, -1])) == "-θ"
+
+
+# ---------------------------------------------------------------------------
+# the prime scan kept on the field, copies and hashes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["x^2+1", "x^4+1", "x^4+1/16", "x^8+1", "(x^3-2)*(x^3-3)"])
+def test_field_keeps_its_prime_scan(text):
+    # scan is the prefix of frobenius_scan up to the deciding prime, and at
+    # a split certificate (p, k) the kept roots are the roots of f mod p^k
+    E = make_field(parse_poly(text))
+    last = E.scan[-1][0]
+    assert E.scan == tuple(frobenius_scan(E.minpoly, 2, last))
+    if isinstance(E.certificate, CertifiedSplitPrime):
+        p, k = E.certificate
+        assert last == p
+        modulus = p ** k
+        f = [c.numerator * pow(c.denominator, -1, modulus) for c in E.minpoly.coeffs]
+        assert len(E.split_roots) == E.degree
+        assert [m % p for m in E.split_roots] == sorted(m % p for m in E.split_roots)
+        for m in E.split_roots:
+            assert sum(c * pow(m, i, modulus) for i, c in enumerate(f)) % modulus == 0
+    else:
+        assert E.split_roots == ()
+    if isinstance(E.certificate, AssumedIrreducible):
+        assert last == max(p for p in range(2, 201) if is_prime(p))
+
+
+def test_pickle_and_copy_round_trips():
+    E = field("x^4+1/16")
+    values = [
+        parse_poly("x^3-2/3*x+5"),
+        E.element([1, Fraction(-2, 3), 0, 7]),
+        E,
+        SearchConfig(S=(parse_poly("x^2"), parse_poly("x+1")), count=3, max_height=9,
+                     seed=4, mode="randomized"),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value
+            assert hash(twin) == hash(value)
+    twin = pickle.loads(pickle.dumps(E))
+    assert (twin.certificate, twin.scan, twin.split_roots) == (E.certificate, E.scan,
+                                                                E.split_roots)
+    assert twin.element([1, 2, 3, 4]) * twin.gen() == twin.element([-Fraction(4, 16), 1, 2, 3])
+
+
+def test_rational_elements_hash_as_their_value(qi):
+    for q in (3, -7, 0, Fraction(5, 4), Fraction(-1, 3)):
+        e = qi.from_rational(q)
+        assert e == q and hash(e) == hash(q) == hash(Fraction(q))
+        assert len({e, q}) == 1
+    assert len({qi.from_rational(3), 3, Fraction(3), qi.element([3, 0])}) == 1
+    assert len({qi.gen(), qi.from_rational(1)}) == 2
