@@ -9,8 +9,7 @@ generator, and r must be a root of f in E.  The engine finds every such r:
      ``make_field`` computed and kept on the field (``NumberField.scan``)
      come first, and ``polynomials.frobenius_scan`` resumes after the last,
   2. Hensel-lift the n roots at the split prime, once, to a precision p^k
-     proven from f alone (below), starting from the lift ``make_field`` kept
-     when it certified f at that prime, and truncating a deeper one,
+     proven from f alone (below),
   3. for each permutation hypothesis pi of the root labels, read the integer
      coefficients of H = F'(theta')*sigma(theta') from the Lagrange form
      sum_t m_pi(t) F/(y - m_t) mod p^k, and
@@ -70,7 +69,6 @@ from .errors import (
 )
 from .numberfield import (
     SPLIT_DEGREE_CAP,
-    CertifiedSplitPrime,
     FieldElem,
     NumberField,
     _canonical,
@@ -152,17 +150,6 @@ def hensel_lift(data: SplitPrimeData, target_k: int) -> SplitPrimeData:
     roots = newton_lift(data.field.minpoly, data.lifted_roots, data.p,
                         data.precision, target_k)
     return SplitPrimeData(data.field, data.p, roots, target_k)
-
-
-def _split_roots(E: NumberField, p: int, fp: ModPoly, k: int) -> SplitPrimeData:
-    # the n roots mod p^k at the split prime p, ascending mod p: lifted on
-    # from, or truncated from, the lift make_field kept when it certified
-    # f at p, else lifted from the roots mod p
-    cert = E.certificate
-    if E.split_roots and isinstance(cert, CertifiedSplitPrime) and cert.prime == p:
-        kept = tuple(m % p ** k for m in E.split_roots)
-        return hensel_lift(SplitPrimeData(E, p, kept, min(k, cert.precision)), k)
-    return hensel_lift(_roots_at(E, p, fp), k)
 
 
 class Automorphism:
@@ -297,7 +284,7 @@ def automorphisms_with_diagnostics(
     den, F = integral_model(f)
     cauchy = 1 + max(map(abs, F))
     bounds = [n * cauchy * math.comb(n - 1, i) * cauchy ** (n - 1 - i) for i in range(n)]
-    data = _split_roots(E, p, fp, lift_precision(p, max(bounds)))
+    data = hensel_lift(_roots_at(E, p, fp), lift_precision(p, max(bounds)))
     modulus = data.modulus
     roots = [den * m % modulus for m in data.lifted_roots]  # the roots of F
     cols = _lagrange_columns(ModPoly(modulus, F), roots)

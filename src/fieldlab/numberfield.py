@@ -22,10 +22,9 @@ p-adic layer in ``polynomials`` (``frobenius_scan``):
   these too, are not done.
 
 The field keeps what that scan computed: ``scan`` holds each (p, f mod p,
-x^p mod (p, f)) it read, and ``split_roots`` the roots of f lifted to the
-certificate's p^k at a split prime.  The automorphism walk in ``galois``
-reads its primes from that prefix before it scans on, so no x^p mod (p, f)
-is computed twice for one field.
+x^p mod (p, f)) it read.  The automorphism walk in ``galois`` reads its
+primes from that prefix before it scans on, so no x^p mod (p, f) is
+computed twice for one field.
 
 Elements are coordinate vectors in the power basis 1, theta, ...,
 theta**(n-1), stored as integer numerators over one positive common
@@ -95,22 +94,18 @@ class NumberField:
     """E = Q[x]/(f) with f monic of degree n >= 1.
 
     scan is the prefix of ``frobenius_scan(f, 2, ...)`` that built the
-    certificate, as (p, f mod p, x^p mod (p, f)) triples; split_roots are
-    the roots of f mod p^k, ascending mod p, when the certificate is
-    CertifiedSplitPrime(p, k), and empty otherwise.  Neither takes part in
-    equality."""
+    certificate, as (p, f mod p, x^p mod (p, f)) triples; it takes no part
+    in equality."""
 
-    __slots__ = ("minpoly", "degree", "certificate", "scan", "split_roots",
+    __slots__ = ("minpoly", "degree", "certificate", "scan",
                  "_reduction_rows", "_reduction_den")
 
-    def __init__(self, minpoly: UPoly, certificate, scan: tuple = (),
-                 split_roots: tuple[int, ...] = ()):
+    def __init__(self, minpoly: UPoly, certificate, scan: tuple = ()):
         n = minpoly.degree
         self.minpoly = minpoly
         self.degree = n
         self.certificate = certificate
         self.scan = scan
-        self.split_roots = split_roots
         # theta**(n+j) = _reduction_rows[j] / _reduction_den in the power
         # basis, j = 0..n-2; the denominator is 1 for every integral f
         rows = [tuple(-c for c in minpoly.coeffs[:n])]
@@ -438,7 +433,7 @@ def make_field(f: UPoly) -> NumberField:
 
     With no such prime the field is built with AssumedIrreducible: a hidden
     factor can then only surface as a ZeroDivisor during inversion.  The
-    field keeps every scanned triple and the lifted split roots.
+    field keeps every scanned triple.
     """
     if f.is_zero or f.degree < 1:
         raise ConstantPolynomial(f"cannot build a field on {f!r}")
@@ -452,7 +447,6 @@ def make_field(f: UPoly) -> NumberField:
             raise RationalRoot(root)
     certificate = AssumedIrreducible()
     scan = []
-    split_roots = ()
     for p, fp, xp in frobenius_scan(f, 2, CERT_PRIME_BOUND):
         scan.append((p, fp, xp))
         if mod_is_irreducible(fp, xp):
@@ -461,14 +455,12 @@ def make_field(f: UPoly) -> NumberField:
         # n >= 2 here, as Ben-Or accepts every f of degree 1; f then divides
         # the squarefree x^p - x, so it is squarefree mod p
         if xp.coeffs == (0, 1) and f.degree <= SPLIT_DEGREE_CAP:
-            certificate, split_roots = _split_prime_certificate(f, fp)
+            certificate = _split_prime_certificate(f, fp)
             break
-    return NumberField(f, certificate, tuple(scan), split_roots)
+    return NumberField(f, certificate, tuple(scan))
 
 
-def _split_prime_certificate(
-    f: UPoly, fp: ModPoly
-) -> tuple[CertifiedSplitPrime, tuple[int, ...]]:
+def _split_prime_certificate(f: UPoly, fp: ModPoly) -> CertifiedSplitPrime:
     """Decide f, monic of degree n >= 2 with no rational root, at a prime p
     where it splits into distinct linear factors (Zassenhaus; Cohen, *A Course
     in Computational Algebraic Number Theory*, 3.5).
@@ -483,7 +475,7 @@ def _split_prime_certificate(
     constant term first (within its bound and dividing F_0), then every
     coefficient, then exact division, either finds a factor, raised as
     ZeroDivisor with the monic factor of f, or proves f irreducible:
-    CertifiedSplitPrime(p, k), returned with the roots of f mod p^k.
+    CertifiedSplitPrime(p, k).
     """
     p, n = fp.p, f.degree
     D, F = integral_model(f)
@@ -492,8 +484,7 @@ def _split_prime_certificate(
     bounds = [math.comb(half, i) * norm for i in range(half + 1)]
     k = lift_precision(p, max(bounds))
     modulus = p**k
-    lifted = newton_lift(f, fp.roots(), p, 1, k)
-    roots = [D * r % modulus for r in lifted]
+    roots = [D * r % modulus for r in newton_lift(f, fp.roots(), p, 1, k)]
     for d in range(2, half + 1):
         for subset in combinations(roots, d):
             # a factor's constant term divides F_0, which is not 0 (0 is no root)
@@ -506,7 +497,7 @@ def _split_prime_certificate(
             g = [_symmetric(c, modulus) for c in g]
             if all(abs(c) <= b for c, b in zip(g, bounds)) and not UPoly(F) % UPoly(g):
                 raise ZeroDivisor(UPoly([Fraction(c, D ** (d - i)) for i, c in enumerate(g)]))
-    return CertifiedSplitPrime(p, k), lifted
+    return CertifiedSplitPrime(p, k)
 
 
 def _rational_root(f: UPoly) -> Fraction | None:

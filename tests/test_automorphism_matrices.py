@@ -26,7 +26,7 @@ from fieldlab import (  # noqa: E402
 )
 from fieldlab import galois  # noqa: E402
 from fieldlab.cli import main  # noqa: E402
-from fieldlab.polynomials import ModPoly, newton_lift  # noqa: E402
+from fieldlab.polynomials import ModPoly  # noqa: E402
 from conftest import GALOIS_POLYS, field, shifted  # noqa: E402
 
 # the reference Galois fields, their shifts x -> x + k, one with D > 1, and
@@ -133,16 +133,6 @@ def test_handed_over_scan_reports_the_same_prime_and_precision(text):
     assert auts == bare_auts
     assert (data.p, data.lifted_roots, data.precision) == (
         bare_data.p, bare_data.lifted_roots, bare_data.precision)
-
-
-def test_deeper_kept_lift_is_truncated_to_the_walk_precision():
-    E = field("x^4+1")
-    p = E.certificate.prime
-    deep = newton_lift(E.minpoly, ModPoly.from_upoly(E.minpoly, p).roots(), p, 1, 40)
-    kept = NumberField(E.minpoly, CertifiedSplitPrime(p, 40), E.scan, deep)
-    auts, data = automorphisms_with_diagnostics(E)
-    assert automorphisms_with_diagnostics(kept) == (auts, data)
-    assert data.precision < 40
 
 
 @pytest.mark.parametrize("text", ["x^4+1", "x^8+1", "x^4-10*x^2+1", "x^6-2", "x^7-x-1",
