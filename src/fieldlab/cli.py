@@ -25,7 +25,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, log2
 
 from .criteria import is_separable_ext, no_low_degree_relation
 from .errors import (
@@ -51,7 +51,7 @@ from .galois import (
     automorphisms_with_diagnostics,
 )
 from .numberfield import SPLIT_DEGREE_CAP, NumberField, make_field
-from .parsing import format_elem, format_poly, parse_poly
+from .parsing import MAX_POWER_BITS, format_elem, format_poly, parse_poly
 from .polynomials import UPoly
 from .search import (
     DEFAULT_MAX_HEIGHT,
@@ -91,9 +91,27 @@ _INTERNAL_CAP_ERRORS = (DegreeCapExceeded, NoSplitPrimeFound)
 _NEGATIVE_VALUE = re.compile(r"-[\dx(]")
 
 
+def _digits_unlimited(fn, *args):
+    # fn(*args) free of CPython's cap on int <-> str conversion (4300 digits
+    # by default, since 3.10.7), which guards parsing against hostile input;
+    # fieldlab's own certificates may be longer.  The cap is restored on return.
+    set_cap = getattr(sys, "set_int_max_str_digits", None)
+    if set_cap is None:
+        return fn(*args)
+    cap = sys.get_int_max_str_digits()
+    set_cap(0)
+    try:
+        return fn(*args)
+    finally:
+        set_cap(cap)
+
+
 def rat_str(q) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the digit cap: only a long certificate pays
+        return _digits_unlimited(rat_str, q)
 
 
 def _elem_json(e) -> list[str]:
@@ -188,10 +206,25 @@ def _resolve(flag_value, env_name: str, default: int) -> int:
 
 
 def _rational_arg(flag: str, raw: str) -> Fraction:
+    # Fraction expands a decimal exponent into a power of ten (1e-20000 has
+    # a 66,000-bit denominator), so the mantissa's digits and the exponent
+    # bound the value before it is built; the result is held to the
+    # parser's power budget, as a polynomial coefficient would be
+    mantissa, e, exponent = raw.lower().partition("e")
+    if e:
+        try:
+            shift = abs(int(exponent))
+        except ValueError:
+            shift = 0  # no decimal exponent: Fraction refuses the literal
+        if (sum(ch.isdigit() for ch in mantissa) + shift) * log2(10) > MAX_POWER_BITS:
+            raise ValueError(f"{flag}={raw}: more than {MAX_POWER_BITS} bits")
     try:
-        return Fraction(raw)
+        q = Fraction(raw)
     except ZeroDivisionError:
         raise ValueError(f"{flag}={raw}: zero denominator") from None
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) > MAX_POWER_BITS:
+        raise ValueError(f"{flag}={raw}: more than {MAX_POWER_BITS} bits")
+    return q
 
 
 def _parse_set(raw: str) -> tuple[UPoly, ...]:
@@ -454,7 +487,8 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(doc, ensure_ascii=False, indent=2))
     else:
-        print(_render_text(doc))
+        # the text reads the document's rationals back, whatever their length
+        print(_digits_unlimited(_render_text, doc))
     return code
 
 

@@ -99,6 +99,10 @@ class UPoly:
         return NotImplemented
 
     def __hash__(self):
+        # equal objects hash alike: a constant hashes as the rational it
+        # equals, the zero polynomial as 0
+        if len(self.coeffs) < 2:
+            return hash(self.coeff(0))
         return hash(("UPoly", self.coeffs))
 
     def __bool__(self):
@@ -529,8 +533,12 @@ def integral_model(f: UPoly) -> tuple[int, list[int]]:
 def lift_precision(p: int, bound: int) -> int:
     """The least k >= 1 with p^k > 2*bound: modulo p^k the symmetric residue
     of an integer of absolute value at most bound is that integer."""
-    k = 1
-    while p**k <= 2 * bound:
+    target = 2 * bound
+    # this k has (k-1) log2 p <= bits(target) - 1 - log2 p, so p^(k-1) <=
+    # target with a margin of log2 p >= 1 for the rounding of log2: the
+    # least k is not below it, and a few steps up reach it
+    k = max(1, int((target.bit_length() - 1) / math.log2(p)))
+    while p**k <= target:
         k += 1
     return k
 

@@ -6,10 +6,14 @@ vectors by height (max absolute coordinate) and testing exactly is a
 complete procedure.  Everything emitted carries a certificate that tests can
 re-verify from scratch; nothing is trusted from the search itself.
 
-Every search is one serial loop: enumerate by height, certify, commit.  A
-single certifier tests each candidate, hits are committed in enumeration
-order, and degree-1 fields, where the stream of non-rational candidates is
-empty, walk the rationals 1, 2, 3, ... through the same certifier.
+Every search is one pipeline, ``_search``: it builds one certifier from the
+field, the set S and the Galois group (if the search holds one) and returns
+the hit stream.  Candidates are enumerated by height, certified one at a
+time and committed in enumeration order, a hit proportional to an earlier
+hit dropped.  Degree 1 is the only branch: there the stream of non-rational
+candidates is empty, so the rationals 1, 2, 3, ... go through the same
+certifier.  ``search_primitive``, ``search_normal`` and the norm-one
+searches all read that one stream.
 
 A value is primitive iff its minimal polynomial has degree n.  Searches
 with a Galois group (``normal``, ``norm-one --normal``) read that polynomial
@@ -23,6 +27,7 @@ checks it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -185,28 +190,19 @@ def _collect(gen: Iterator[WitnessedElement], count: int) -> list[WitnessedEleme
     raise AssertionError("hit stream ended without raising; unreachable")
 
 
-def _minpoly(a: FieldElem, G: GaloisGroup | None) -> UPoly:
-    # from the images of a at G's split prime, or by exact elimination
-    return minpoly(a) if G is None else minpoly_from_images(G, a)
-
-
-def _primitive_cert(E: NumberField, a: FieldElem, G: GaloisGroup | None) -> UPoly | None:
-    # minpoly of a when a generates E, else None
-    mp = _minpoly(a, G)
-    return mp if mp.degree == E.degree else None
-
-
 def _certifier(
     E: NumberField, S: Sequence[UPoly], G: GaloisGroup | None
 ) -> Callable[[FieldElem], WitnessedElement | None]:
-    # the certify step of every search: each h(cand) must generate E and,
-    # when G is given, also have a nonzero group determinant (normality)
+    # the certify step of every search: each h(cand) must generate E, read
+    # from its minimal polynomial (from its images at G's split prime, or by
+    # exact elimination), and, when G is given, also have a nonzero group
+    # determinant (normality)
     def certify(cand: FieldElem) -> WitnessedElement | None:
         per = []
         for h in S:
             value = poly_eval(h, cand)
-            mp = _primitive_cert(E, value, G)
-            if mp is None:
+            mp = minpoly(value) if G is None else minpoly_from_images(G, value)
+            if mp.degree != E.degree:
                 return None
             det = None
             if G is not None:
@@ -219,31 +215,25 @@ def _certifier(
     return certify
 
 
-def _degree_one(
+def _search(
     E: NumberField, cfg: SearchConfig, G: GaloisGroup | None
-) -> list[WitnessedElement]:
-    # the candidate stream skips rationals, which are all of E = Q, so walk
-    # k = 1, 2, ... instead; a k with h(k) = 0 still generates Q but fails
-    # the normality test
+) -> Iterator[WitnessedElement]:
+    # the hit stream of every search.  The candidate stream skips rationals,
+    # which are all of E = Q, so degree 1 walks k = 1, 2, ... instead; a k
+    # with h(k) = 0 still generates Q but fails the normality test
     certify = _certifier(E, cfg.S, G)
-    out: list[WitnessedElement] = []
-    k = 0
-    while len(out) < cfg.count:
-        k += 1
-        w = certify(E.from_rational(k))
-        if w is not None:
-            out.append(w)
-    return out
+    if E.degree > 1:
+        return _hits(E, cfg, certify, 1)
+    witnesses = (certify(E.from_rational(k)) for k in itertools.count(1))
+    return (w for w in witnesses if w is not None)
 
 
 def search_primitive(E: NumberField, cfg: SearchConfig) -> list[WitnessedElement]:
     """First count elements a with every h(a) a generator of E.
 
-    Degree-1 fields short-circuit to 1, 2, ..., count: everything generates.
+    Degree-1 fields give 1, 2, ..., count: everything generates.
     """
-    if E.degree == 1:
-        return _degree_one(E, cfg, None)
-    return _collect(_hits(E, cfg, _certifier(E, cfg.S, None), 1), cfg.count)
+    return _collect(_search(E, cfg, None), cfg.count)
 
 
 def distinct_mod_scalars(results: Sequence[FieldElem]) -> bool:
@@ -262,9 +252,7 @@ def search_normal(E: NumberField, cfg: SearchConfig, **options) -> list[Witnesse
     generator (conjugate orbit a basis).  Requires a Galois field; options
     (degree_cap, prime_bound) go to galois_group."""
     G = galois_group(E, **options)
-    if E.degree == 1:
-        return _degree_one(E, cfg, G)
-    return _collect(_hits(E, cfg, _certifier(E, cfg.S, G), 1), cfg.count)
+    return _collect(_search(E, cfg, G), cfg.count)
 
 
 def _norm_one_engine(
@@ -282,7 +270,7 @@ def _norm_one_engine(
         max_height=max_height, seed=seed, mode=mode,
     )
     seen: set[FieldElem] = set()
-    for w in _hits(E, cfg, _certifier(E, cfg.S, G), 1):
+    for w in _search(E, cfg, G):
         hit = w.per_h[0]
         norm_b = norm(w.a)
         a = hit.value / norm_b

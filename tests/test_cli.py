@@ -171,6 +171,62 @@ def test_huge_constant_term_is_analyzed_quickly(capsys):
     assert doc["results"][0]["automorphism_count"] == 2
 
 
+# 7*10^3000 + 1, written out: under CPython's 4300-digit cap on int <-> str
+# conversion, but the certificates of a norm-one hit in x^4 + BIG are longer
+BIG = "7" + "0" * 2999 + "1"
+
+
+def test_big_certificate_is_printed_as_json(capsys):
+    cap = sys.get_int_max_str_digits()
+    code, doc = run_json(capsys, "norm-one", f"x^4+{BIG}")
+    assert code == 0 and sys.get_int_max_str_digits() == cap
+    w = doc["results"][0]
+    assert w["norm_value"] == "1/1"
+    assert max(len(c) for c in w["per_h"][0]["min_poly"]) > cap
+
+
+def test_big_certificate_is_printed_as_text(capsys):
+    cap = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "norm-one", f"x^4+{BIG}")
+    assert code == 0 and sys.get_int_max_str_digits() == cap
+    assert "norm = 1 " in out and len(out) > cap
+
+
+def test_exit_2_on_a_polynomial_literal_past_the_digit_cap(capsys):
+    assert main(["analyze", "x^2+1" + "0" * 4400]) == 2
+    assert "4300 digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pell", "--b=1e-20000", "--c=1"],
+    ["pell", "--b=1", "--c=-1e10000000"],
+    ["pell", "--b=1", "--c=1.5E+2467"],
+    ["pell", "--b=" + "9" * 2500, "--c=1"],
+    ["pell", "--b=1", "--c=1/" + "3" * 2500],
+])
+def test_exit_2_on_rational_option_past_the_power_budget(capsys, argv):
+    # Fraction would expand 1e-10000000 for seconds; refused before that
+    started = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - started < 1
+    assert "more than 8192 bits" in capsys.readouterr().err
+
+
+def test_rational_option_within_the_power_budget_is_accepted(capsys):
+    # 10^2000 has 6,644 bits
+    code, doc = run_json(capsys, "pell", "--b=1e-2000", "--c=1")
+    assert code == 0 and doc["field"]["b"] == "1/1" + "0" * 2000
+
+
+def test_trivial_extension_is_reported_before_the_group(capsys):
+    # x - 1/2 has no prime to scan up to 2: normal exits 5, but norm-one
+    # refuses the degree-1 field before it asks for the group
+    assert main(["norm-one", "x-1/2", "--normal", "--prime-bound", "2"]) == 2
+    assert "degree at least 2" in capsys.readouterr().err
+    assert main(["normal", "x-1/2", "--prime-bound", "2"]) == 5
+    assert "no fully split prime" in capsys.readouterr().err
+
+
 def test_exit_3_on_not_galois(capsys):
     assert main(["normal", "x^3-2", "--set", "x", "--count", "1"]) == 3
     assert main(["norm-one", "x^3-2", "--count", "1", "--normal"]) == 3

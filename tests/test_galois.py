@@ -459,7 +459,6 @@ def test_nongenerators_read_at_the_split_prime():
     for a in (E.from_rational(Fraction(3, 17)), theta ** 2, theta ** 2 / 17 + 5):
         assert minpoly(a).degree < E.degree
         assert minpoly_from_images(G, a) == minpoly(a)
-        assert search._minpoly(a, G) == minpoly(a)
 
 
 def test_group_without_split_prime_finds_one():

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fieldlab import galois_group, minpoly  # noqa: E402
 from fieldlab.galois import minpoly_from_images  # noqa: E402
-from fieldlab.search import _minpoly  # noqa: E402
 from conftest import GALOIS_POLYS, field  # noqa: E402
 
 # the reference Galois fields and two with D > 1, whose images need the
@@ -35,6 +34,4 @@ def group_elements(draw):
 @given(group_elements())
 def test_images_agree_with_exact_minpoly(pair):
     G, a = pair
-    exact = minpoly(a)
-    assert minpoly_from_images(G, a) == exact
-    assert _minpoly(a, G) == exact
+    assert minpoly_from_images(G, a) == minpoly(a)

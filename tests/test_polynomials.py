@@ -55,6 +55,16 @@ def test_leading_and_coeff():
     assert p.coeff(99) == 0
 
 
+def test_constants_hash_as_their_value():
+    # a constant equals the rational it holds, so it must hash alike
+    for q in (3, -7, Fraction(5, 4), Fraction(-1, 3)):
+        assert P(q) == q and hash(P(q)) == hash(q) == hash(Fraction(q))
+        assert len({P(q), q, Fraction(q)}) == 1
+    assert P() == 0 and hash(P()) == hash(0)
+    assert len({P(), 0, P(0, 0)}) == 1
+    assert len({P(3), P(0, 3), P(3, 1)}) == 3
+
+
 # ---------------------------------------------------------------------------
 # ring axioms on random triples
 # ---------------------------------------------------------------------------
