@@ -3,11 +3,10 @@
 An automorphism of E = Q[x]/(f) is determined by the image r of the
 generator, and r must be a root of f in E.  The engine finds every such r:
 
-  1. scan the primes p where f mod p is defined and squarefree, counting
-     the roots of f mod p from x^p mod (p, f), until one count is 1 or one
-     prime splits f into n distinct linear factors; the triples that
-     ``make_field`` computed and kept on the field (``NumberField.scan``)
-     come first, and ``polynomials.frobenius_scan`` resumes after the last,
+  1. read the root counts of the prime scan where f mod p is squarefree,
+     until one count is 1 or n; the records ``make_field`` kept on the
+     field (``NumberField.scan``) come first, and
+     ``polynomials.frobenius_scan`` resumes after the last,
   2. Hensel-lift the n roots at the split prime, once, to a precision p^k
      proven from f alone (below),
   3. for each permutation hypothesis pi of the root labels, read the integer
@@ -29,11 +28,12 @@ correct, and a walk over all permutations finds every automorphism, so a
 completed walk proves the count by itself.
 
 The root counts of the scan stop the walk early: where f is squarefree mod
-p and has a root m, sigma -> sigma(theta) mod (p, theta - m) is injective
-into the roots of f mod p, so the least such count b bounds |Aut|.  A count
-of 1 proves Aut = {id} at once.  Otherwise the maps found are closed under
-composition, so they form a subgroup whose order divides |Aut| <= b, and
-the walk stops as soon as twice their number exceeds b.
+p (as it is where it splits) and has a root m, sigma -> sigma(theta) mod
+(p, theta - m) is injective into the roots of f mod p, so the least such
+count b bounds |Aut|.  A count of 1 proves Aut = {id} at once.  Otherwise
+the maps found are closed under composition, so they form a subgroup whose
+order divides |Aut| <= b, and the walk stops as soon as twice their number
+exceeds b.
 
 The walk keys each map by its root permutation pi at the split prime: sigma
 followed by the embedding theta -> m_t is the embedding theta -> m_pi(t), so
@@ -105,41 +105,27 @@ class SplitPrimeData(NamedTuple):
 
 
 def _scan(E: NumberField, lo: int, hi: int):
-    # (p, f mod p, x^p mod (p, f)) at the primes lo <= p <= hi: those
-    # make_field scanned first, then frobenius_scan past the last of them
+    # the scan records at the primes lo <= p <= hi: those make_field
+    # scanned first, then frobenius_scan past the last of them
     last = 1
-    for step in E.scan:
-        last = step[0]
+    for record in E.scan:
+        last = record.p
         if last > hi:
             return
         if last >= lo:
-            yield step
+            yield record
     yield from frobenius_scan(E.minpoly, max(lo, last + 1), hi)
-
-
-def _root_counts(E: NumberField, min_p: int, bound: int):
-    # (p, f mod p, r) for the primes p in [min_p, bound] of the prime scan
-    # where f mod p has r >= 1 distinct roots and is squarefree: r = deg
-    # gcd(f, x^p - x), and r = n says x^p = x mod (f, p), that is, f splits
-    for p, fp, xp in _scan(E, min_p, bound):
-        count = fp.gcd(xp - ModPoly(p, [0, 1])).degree
-        if count and mod_is_squarefree(fp):
-            yield p, fp, count
-
-
-def _roots_at(E: NumberField, p: int, fp: ModPoly) -> SplitPrimeData:
-    return SplitPrimeData(E, p, fp.roots(), 1)
 
 
 def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
                      min_p: int = 2) -> SplitPrimeData:
     """Smallest prime p in [min_p, bound] at which f has n distinct roots:
-    the first prime of the root-count scan whose count is n.  min_p exists
-    so callers can force a second, independent prime.
+    the first scan record whose root count is n.  min_p exists so callers
+    can force a second, independent prime.
     """
-    for p, fp, count in _root_counts(E, min_p, bound):
-        if count == E.degree:
-            return _roots_at(E, p, fp)
+    for record in _scan(E, min_p, bound):
+        if record.roots == E.degree:
+            return SplitPrimeData(E, record.p, record.fp.roots(), 1)
     raise NoSplitPrimeFound(bound)
 
 
@@ -271,20 +257,25 @@ def automorphisms_with_diagnostics(
         raise DegreeCapExceeded(n, degree_cap)
     identity = Automorphism(E, E.gen())
     b = n  # the least root count so far, a bound on |Aut|
-    for p, fp, count in _root_counts(E, min_prime, prime_bound):
-        b = min(b, count)
-        if b == 1:
-            return [identity], _roots_at(E, p, fp)
-        if count == n:
-            break
+    for record in _scan(E, min_prime, prime_bound):
+        # a root count bounds |Aut| where f mod p is squarefree, as it is
+        # where f splits
+        count = record.roots
+        if count == n or count and mod_is_squarefree(record.fp):
+            b = min(b, count)
+            if b == 1 or count == n:
+                break
     else:
         raise NoSplitPrimeFound(prime_bound)
+    data = SplitPrimeData(E, record.p, record.fp.roots(), 1)
+    if b == 1:
+        return [identity], data
 
     f = E.minpoly
     den, F = integral_model(f)
     cauchy = 1 + max(map(abs, F))
     bounds = [n * cauchy * math.comb(n - 1, i) * cauchy ** (n - 1 - i) for i in range(n)]
-    data = hensel_lift(_roots_at(E, p, fp), lift_precision(p, max(bounds)))
+    data = hensel_lift(data, lift_precision(data.p, max(bounds)))
     modulus = data.modulus
     roots = [den * m % modulus for m in data.lifted_roots]  # the roots of F
     cols = _lagrange_columns(ModPoly(modulus, F), roots)

@@ -2,8 +2,8 @@
 
 A ``NumberField`` is defined by a monic squarefree f with no rational root
 (degree >= 2) and carries an irreducibility certificate from the first prime
-p <= 200 that decides, reading x^p mod (p, f) from the prime scan of the
-p-adic layer in ``polynomials`` (``frobenius_scan``):
+p <= 200 that decides, reading the records of the prime scan of the p-adic
+layer in ``polynomials`` (``frobenius_scan``):
 
 - ``CertifiedModP``: f is irreducible mod p by Ben-Or's gcd test, which
   proves irreducibility over Q, since a monic f keeps its degree mod p.
@@ -21,10 +21,8 @@ p-adic layer in ``polynomials`` (``frobenius_scan``):
   and multifactor lifting at a prime with few factors, which would decide
   these too, are not done.
 
-The field keeps what that scan computed: ``scan`` holds each (p, f mod p,
-x^p mod (p, f)) it read.  The automorphism walk in ``galois`` reads its
-primes from that prefix before it scans on, so no x^p mod (p, f) is
-computed twice for one field.
+The field keeps the records it read (``scan``); ``galois`` reads them
+before it scans on, so no record is computed twice for one field.
 
 Elements are coordinate vectors in the power basis 1, theta, ...,
 theta**(n-1), stored as integer numerators over one positive common
@@ -59,7 +57,6 @@ from .polynomials import (
     frobenius_scan,
     integral_model,
     lift_precision,
-    mod_is_irreducible,
     mod_is_squarefree,
     newton_lift,
     poly_gcd,
@@ -94,8 +91,7 @@ class NumberField:
     """E = Q[x]/(f) with f monic of degree n >= 1.
 
     scan is the prefix of ``frobenius_scan(f, 2, ...)`` that built the
-    certificate, as (p, f mod p, x^p mod (p, f)) triples; it takes no part
-    in equality."""
+    certificate, one ``ScanRecord`` per prime; it takes no part in equality."""
 
     __slots__ = ("minpoly", "degree", "certificate", "scan",
                  "_reduction_rows", "_reduction_den")
@@ -419,21 +415,18 @@ def make_field(f: UPoly) -> NumberField:
 
     Rejects constants, non-squarefree polynomials (witness: gcd(f, f')) and
     degree >= 2 polynomials with a rational root (witness: the root).  Then
-    reads x^p mod (p, f) from ``frobenius_scan`` at the primes
-    p <= CERT_PRIME_BOUND in increasing order and stops at the first that
-    decides:
+    reads the ``frobenius_scan`` record of each prime p <= CERT_PRIME_BOUND
+    in increasing order and stops at the first that decides:
 
-    - f is irreducible mod p by Ben-Or's test, whose first step is that
-      power: ``CertifiedModP(p)``;
-    - x^p = x mod (p, f), so f splits into n distinct linear factors mod p,
-      and n <= SPLIT_DEGREE_CAP: the roots are lifted and recombined
-      (``_split_prime_certificate``), which either finds no factor of
-      degree <= n/2, ``CertifiedSplitPrime(p, k)``, or raises ZeroDivisor
-      with a monic factor of f.
+    - f is irreducible mod p by Ben-Or's test: ``CertifiedModP(p)``;
+    - f has n <= SPLIT_DEGREE_CAP distinct roots mod p: they are lifted
+      and recombined (``_split_prime_certificate``), which either finds no
+      factor of degree <= n/2, ``CertifiedSplitPrime(p, k)``, or raises
+      ZeroDivisor with a monic factor of f.
 
     With no such prime the field is built with AssumedIrreducible: a hidden
     factor can then only surface as a ZeroDivisor during inversion.  The
-    field keeps every scanned triple.
+    field keeps every scanned record.
     """
     if f.is_zero or f.degree < 1:
         raise ConstantPolynomial(f"cannot build a field on {f!r}")
@@ -447,15 +440,14 @@ def make_field(f: UPoly) -> NumberField:
             raise RationalRoot(root)
     certificate = AssumedIrreducible()
     scan = []
-    for p, fp, xp in frobenius_scan(f, 2, CERT_PRIME_BOUND):
-        scan.append((p, fp, xp))
-        if mod_is_irreducible(fp, xp):
-            certificate = CertifiedModP(p)
+    for record in frobenius_scan(f, 2, CERT_PRIME_BOUND):
+        scan.append(record)
+        if record.is_irreducible():
+            certificate = CertifiedModP(record.p)
             break
-        # n >= 2 here, as Ben-Or accepts every f of degree 1; f then divides
-        # the squarefree x^p - x, so it is squarefree mod p
-        if xp.coeffs == (0, 1) and f.degree <= SPLIT_DEGREE_CAP:
-            certificate = _split_prime_certificate(f, fp)
+        # n >= 2 here, as Ben-Or accepts every f of degree 1
+        if record.roots == f.degree and f.degree <= SPLIT_DEGREE_CAP:
+            certificate = _split_prime_certificate(f, record.fp)
             break
     return NumberField(f, certificate, tuple(scan))
 

@@ -10,14 +10,15 @@ Representation conventions:
  - ``ModPoly`` is the image of a polynomial modulo any integer m >= 2.
    Reduction, arithmetic and evaluation work for every m, so the p-adic
    code evaluates modulo p^k with the same class; only ``gcd``, ``monic``,
-   ``%`` and ``powmod`` need m prime.  Modulo a prime it carries the one
-   modular test of each property of f: irreducibility by Ben-Or's gcd
-   test (``mod_is_irreducible``), full splitting by x^p = x (mod f), and
-   squarefreeness by gcd(f, f') = 1 (``mod_is_squarefree``).  Precision is
-   raised by lifting the exponent of p, never by switching to larger primes.
+   ``%`` and ``powmod`` need m prime.  Precision is raised by lifting the
+   exponent of p, never by switching to larger primes.
  - The p-adic layer under field construction and automorphisms:
-   ``frobenius_scan`` computes x^p mod (p, f) once per prime, the one scan
-   of primes that both read; ``integral_model`` gives the monic integer
+   ``frobenius_scan`` yields one ``ScanRecord`` per prime, f mod p with
+   x^p mod (p, f) and the root count deg gcd(f mod p, x^p - x), each taken
+   once and read by both.  A record holds the one modular test of each
+   property of f: irreducibility by Ben-Or (``is_irreducible``), full
+   splitting by a root count of n; squarefreeness is gcd(f, f') = 1
+   (``mod_is_squarefree``).  ``integral_model`` gives the monic integer
    F = D^n f(y/D); ``newton_lift`` lifts simple roots; ``lift_precision``
    is the least p^k above twice a proven bound, where the symmetric
    residue of a lifted quantity is the integer itself.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ZeroPolynomial
 
@@ -461,26 +462,44 @@ def mod_is_squarefree(f: ModPoly) -> bool:
     return g.degree == 0
 
 
-def mod_is_irreducible(f: ModPoly, xp: ModPoly | None = None) -> bool:
-    """Ben-Or's test over GF(p) for f of degree >= 1.
+class ScanRecord(NamedTuple):
+    """fp = f mod p for a monic f, xp = x^p mod (p, f) and roots = deg
+    gcd(fp, xp - x), the number of distinct roots of fp; roots = n says f
+    divides x^p - x, so it splits into n distinct linear factors."""
 
-    f is irreducible iff gcd(f, x^(p^i) - x) = 1 for i = 1..n/2: a reducible
-    f, squares included, has an irreducible factor of some degree d <= n/2,
-    and that factor divides x^(p^d) - x.  Stops at the first such factor.
-    xp is x^p mod the monic f, for a caller that has it already.
-    """
-    n = f.degree
-    if n < 1:
+    p: int
+    fp: ModPoly
+    xp: ModPoly
+    roots: int
+
+    def is_irreducible(self) -> bool:
+        """Ben-Or: fp is irreducible iff gcd(fp, x^(p^i) - x) = 1 for i =
+        1..n/2, as a reducible fp, squares included, has an irreducible
+        factor of some degree d <= n/2, which divides x^(p^d) - x.  The
+        first gcd is the root count; the rest stop at a common factor."""
+        if self.roots:
+            return self.fp.degree == 1
+        p, fp = self.p, self.fp
+        x = ModPoly(p, [0, 1])
+        frob = self.xp  # x^(p^i) mod fp
+        for _ in range(1, fp.degree // 2):
+            frob = frob.powmod(p, fp)
+            if fp.gcd(frob - x).degree:
+                return False
+        return True
+
+
+def _scan_record(fp: ModPoly) -> ScanRecord:
+    x = ModPoly(fp.p, [0, 1])  # fp monic of degree >= 1
+    xp = x.powmod(fp.p, fp)
+    return ScanRecord(fp.p, fp, xp, fp.gcd(xp - x).degree)
+
+
+def mod_is_irreducible(f: ModPoly) -> bool:
+    """Ben-Or's test on f's own ``ScanRecord``; False below degree 1."""
+    if f.degree < 1:
         return False
-    f = f.monic()
-    x = ModPoly(f.p, [0, 1])
-    frob = x.powmod(f.p, f) if xp is None else xp  # x^(p^i) mod f
-    for i in range(n // 2):
-        if i:
-            frob = frob.powmod(f.p, f)
-        if f.gcd(frob - x).degree != 0:
-            return False
-    return True
+    return _scan_record(f.monic()).is_irreducible()
 
 
 def newton_lift(
@@ -505,13 +524,9 @@ def newton_lift(
 
 
 def frobenius_scan(f: UPoly, lo: int, hi: int):
-    """(p, f mod p, x^p mod (p, f)) at each prime lo <= p <= hi, ascending,
-    for the monic f, skipping the primes that divide a denominator of f.
-
-    x^p is the first power of Ben-Or's test, x^p = x says f splits into
-    distinct linear factors, and gcd(f, x^p - x) is the product of the
-    distinct linear factors of f mod p.
-    """
+    """The ``ScanRecord`` of the monic f at each prime lo <= p <= hi,
+    ascending, skipping the primes that divide a denominator of f: one
+    x^p mod (p, f) and one gcd(f mod p, x^p - x) per prime."""
     for p in primes_from(lo):
         if p > hi:
             return
@@ -519,7 +534,7 @@ def frobenius_scan(f: UPoly, lo: int, hi: int):
             fp = ModPoly.from_upoly(f, p)
         except ValueError:
             continue  # a denominator of f vanishes mod p
-        yield p, fp, ModPoly(p, [0, 1]).powmod(p, fp)
+        yield _scan_record(fp)
 
 
 def integral_model(f: UPoly) -> tuple[int, list[int]]:

@@ -22,9 +22,10 @@ from fieldlab import (  # noqa: E402
     compose,
     conjugate_vector,
     galois_group,
+    parse_poly,
     poly_eval,
 )
-from fieldlab import galois  # noqa: E402
+from fieldlab import galois, numberfield  # noqa: E402
 from fieldlab.cli import main  # noqa: E402
 from fieldlab.polynomials import ModPoly  # noqa: E402
 from conftest import GALOIS_POLYS, field, shifted  # noqa: E402
@@ -138,20 +139,50 @@ def test_handed_over_scan_reports_the_same_prime_and_precision(text):
 @pytest.mark.parametrize("text", ["x^4+1", "x^8+1", "x^4-10*x^2+1", "x^6-2", "x^7-x-1",
                                   "x^3-x+3", "x^4+1/16"])
 def test_analyze_computes_each_frobenius_power_once(monkeypatch, capsys, text):
-    # x^p mod (p, f) is powmod(p) of the polynomial x: make_field computes
-    # it at the primes of its scan, and the walk reuses them
-    powers = []
-    powmod = ModPoly.powmod
+    # x^p mod (p, f) is powmod(p) of the polynomial x, and gcd(f, x^p - x)
+    # gives the root count: the prime scan takes each once per prime, Ben-Or's
+    # first step included, and the walk reuses the records make_field kept.
+    # The walk takes gcd(f, f') only where the count is neither 0 nor n: a
+    # split f is squarefree, and a rootless prime bounds nothing.  The
+    # rational-root test picks a squarefree prime of its own, apart from this.
+    f = parse_poly(text).monic()
+    n = f.degree
+    powers, gcds = [], []
+    powmod, gcd = ModPoly.powmod, ModPoly.gcd
+    rational_root = numberfield._rational_root
 
-    def recording(self, e, modulus):
+    def recording_powmod(self, e, modulus):
         if self.coeffs == (0, 1) and e == self.p:
             powers.append(self.p)
         return powmod(self, e, modulus)
 
-    monkeypatch.setattr(ModPoly, "powmod", recording)
+    def recording_gcd(self, other):
+        gcds.append((self, other))
+        return gcd(self, other)
+
+    def own_gcds(g):
+        start = len(gcds)
+        root = rational_root(g)
+        del gcds[start:]
+        return root
+
+    monkeypatch.setattr(ModPoly, "powmod", recording_powmod)
+    monkeypatch.setattr(ModPoly, "gcd", recording_gcd)
+    monkeypatch.setattr(numberfield, "_rational_root", own_gcds)
     assert main(["analyze", text, "--json"]) == 0
     capsys.readouterr()
     assert powers and len(powers) == len(set(powers)), powers
+    counted = []
+    for a, b in gcds:
+        p = a.p
+        if a != ModPoly.from_upoly(f, p):
+            continue
+        x = ModPoly(p, [0, 1])
+        if b == powmod(x, p, a) - x:
+            counted.append(p)
+        elif b == a.derivative():
+            assert 1 <= len(a.roots()) < n, (p, a)
+    assert sorted(counted) == sorted(powers), (counted, powers)
 
 
 def test_group_paths_neither_compose_nor_multiply(monkeypatch):

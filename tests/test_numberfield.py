@@ -238,7 +238,7 @@ def test_str_rendering(qi):
 def test_field_keeps_its_prime_scan(text):
     # scan is the prefix of frobenius_scan up to the deciding prime
     E = make_field(parse_poly(text))
-    last = E.scan[-1][0]
+    last = E.scan[-1].p
     assert E.scan == tuple(frobenius_scan(E.minpoly, 2, last))
     if isinstance(E.certificate, CertifiedSplitPrime):
         assert last == E.certificate.prime

@@ -284,22 +284,26 @@ def test_modpoly_modulo_a_prime_power_past_a_machine_word():
 ])
 def test_frobenius_scan_matches_powmod(text):
     # every prime up to 60 but those dividing a denominator of f, each with
-    # f mod p and x^p mod (p, f) as a direct powmod computes them
+    # f mod p and x^p mod (p, f) as a direct powmod computes them, and the
+    # number of distinct roots of f mod p, which is n exactly where x^p = x
     f = parse_poly(text)
     scanned = list(frobenius_scan(f, 2, 60))
-    assert [p for p, _, _ in scanned] == [
+    assert [s.p for s in scanned] == [
         p for p in range(2, 61)
         if is_prime(p) and all(c.denominator % p for c in f.coeffs)
     ]
-    for p, fp, xp in scanned:
-        assert fp == ModPoly.from_upoly(f, p)
-        assert xp == ModPoly(p, [0, 1]).powmod(p, fp)
+    for s in scanned:
+        x = ModPoly(s.p, [0, 1])
+        assert s.fp == ModPoly.from_upoly(f, s.p)
+        assert s.xp == x.powmod(s.p, s.fp)
+        assert s.roots == len(s.fp.roots())
+        assert (s.roots == f.degree) == (s.xp == x)
 
 
 def test_frobenius_scan_skips_a_denominator_prime():
     # x^2+1/4 has no image mod 2; the scan starts at 3
     f = P(Fraction(1, 4), 0, 1)
-    assert [p for p, _, _ in frobenius_scan(f, 2, 10)] == [3, 5, 7]
+    assert [s.p for s in frobenius_scan(f, 2, 10)] == [3, 5, 7]
 
 
 def test_integral_model():
