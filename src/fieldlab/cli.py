@@ -484,11 +484,19 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     doc["diagnostics"]["timings"]["total_ms"] = int((time.monotonic() - started) * 1000)
-    if args.json:
-        print(json.dumps(doc, ensure_ascii=False, indent=2))
-    else:
-        # the text reads the document's rationals back, whatever their length
-        print(_digits_unlimited(_render_text, doc))
+    try:
+        if args.json:
+            print(json.dumps(doc, ensure_ascii=False, indent=2))
+        else:
+            # the text reads the document's rationals back, whatever their length
+            print(_digits_unlimited(_render_text, doc))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: what is still buffered, and the
+        # interpreter's flush at exit, go to devnull instead of a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -8,21 +8,23 @@ layer in ``polynomials`` (``frobenius_scan``):
 - ``CertifiedModP``: f is irreducible mod p by Ben-Or's gcd test, which
   proves irreducibility over Q, since a monic f keeps its degree mod p.
 - ``CertifiedSplitPrime``: f splits into n <= 8 distinct linear factors mod
-  p, and no product of 2..n/2 of its roots, Hensel-lifted to p^k above twice
+  p, and no product of 1..n/2 of its roots, Hensel-lifted to p^k above twice
   Mignotte's bound C(n/2, i) (isqrt(sum F_j^2) + 1) on the coefficients of a
   factor of the integral F = D^n f(y/D), is a factor of F (Zassenhaus 1969;
   Cohen, *A Course in Computational Algebraic Number Theory*, 3.5).  A
-  product that is one is raised as ``ZeroDivisor`` with its monic factor of
-  f, so the same scan also rejects reducible f.  The cap n <= 8 bounds the
-  recombination at 154 subsets.
+  root that is one is raised as ``RationalRoot``, a product as
+  ``ZeroDivisor`` with its monic factor of f, so the same scan also rejects
+  reducible f.  The cap n <= 8 bounds the recombination at 154 subsets.
 - ``AssumedIrreducible``: no prime up to 200 is irreducible or (for n <= 8)
   split, as for (x^3-2)(x^3-3).  Any hidden factor of f then surfaces only
   as a ``ZeroDivisor`` witness during inversion.  Distinct-degree patterns
   and multifactor lifting at a prime with few factors, which would decide
   these too, are not done.
 
-The field keeps the records it read (``scan``); ``galois`` reads them
-before it scans on, so no record is computed twice for one field.
+The same records decide whether f has a rational root (``make_field``),
+and only that question takes the scan past 200.  The field keeps the
+records it read (``scan``); ``galois`` reads them before it scans on, so no
+record is computed twice for one field.
 
 Elements are coordinate vectors in the power basis 1, theta, ...,
 theta**(n-1), stored as integer numerators over one positive common
@@ -60,11 +62,10 @@ from .polynomials import (
     mod_is_squarefree,
     newton_lift,
     poly_gcd,
-    primes_from,
 )
 
 # the largest prime make_field tries for an irreducibility certificate
-CERT_PRIME_BOUND = 200
+CERT_PRIME_BOUND = 199
 # the largest degree whose root subsets are tried: at most 154 of them at n = 8
 SPLIT_DEGREE_CAP = 8
 
@@ -90,8 +91,8 @@ class AssumedIrreducible(NamedTuple):
 class NumberField:
     """E = Q[x]/(f) with f monic of degree n >= 1.
 
-    scan is the prefix of ``frobenius_scan(f, 2, ...)`` that built the
-    certificate, one ``ScanRecord`` per prime; it takes no part in equality."""
+    scan is the prefix of ``frobenius_scan(f, 2, ...)`` that ``make_field``
+    read, one ``ScanRecord`` per prime; it takes no part in equality."""
 
     __slots__ = ("minpoly", "degree", "certificate", "scan",
                  "_reduction_rows", "_reduction_den")
@@ -413,20 +414,28 @@ def invert(a: FieldElem) -> FieldElem:
 def make_field(f: UPoly) -> NumberField:
     """Validate f and build E = Q[x]/(f).
 
-    Rejects constants, non-squarefree polynomials (witness: gcd(f, f')) and
-    degree >= 2 polynomials with a rational root (witness: the root).  Then
-    reads the ``frobenius_scan`` record of each prime p <= CERT_PRIME_BOUND
-    in increasing order and stops at the first that decides:
+    Rejects constants and non-squarefree polynomials (witness: gcd(f, f')).
+    Then reads the ``frobenius_scan`` record of each prime in increasing
+    order.  The certificate rules read the primes p <= CERT_PRIME_BOUND and
+    stop at the first that decides:
 
     - f is irreducible mod p by Ben-Or's test: ``CertifiedModP(p)``;
     - f has n <= SPLIT_DEGREE_CAP distinct roots mod p: they are lifted
-      and recombined (``_split_prime_certificate``), which either finds no
-      factor of degree <= n/2, ``CertifiedSplitPrime(p, k)``, or raises
-      ZeroDivisor with a monic factor of f.
+      and recombined (``_recombine``), which raises RationalRoot or
+      ZeroDivisor with a monic factor of f, or finds no factor of degree
+      <= n/2: ``CertifiedSplitPrime(p, k)``.
 
     With no such prime the field is built with AssumedIrreducible: a hidden
-    factor can then only surface as a ZeroDivisor during inversion.  The
-    field keeps every scanned record.
+    factor can then only surface as a ZeroDivisor during inversion.
+
+    For n >= 2 the same records decide whether f has a rational root r
+    (witness: the root).  D r is a root of the monic integer F = D^n f(y/D),
+    so r is integral at every scanned prime p (p does not divide D) and
+    reduces to a root of f mod p.  So a record with no root proves there is
+    none, and one where f mod p is squarefree has every r among the lifts of
+    its roots (``_recombine``).  Only this question takes the scan past
+    CERT_PRIME_BOUND, and only until f is squarefree mod p, as it is at all
+    but finitely many primes.  The field keeps every record read.
     """
     if f.is_zero or f.degree < 1:
         raise ConstantPolynomial(f"cannot build a field on {f!r}")
@@ -434,49 +443,57 @@ def make_field(f: UPoly) -> NumberField:
     g = poly_gcd(f, f.derivative())
     if g.degree > 0:
         raise NotSquarefree(g)
-    if f.degree >= 2:
-        root = _rational_root(f)
-        if root is not None:
-            raise RationalRoot(root)
-    certificate = AssumedIrreducible()
+    n = f.degree
+    certificate = None
+    root_open = n >= 2  # whether f may still have a rational root
     scan = []
-    for record in frobenius_scan(f, 2, CERT_PRIME_BOUND):
+    for record in frobenius_scan(f, 2, math.inf):
         scan.append(record)
-        if record.is_irreducible():
-            certificate = CertifiedModP(record.p)
+        p, fp, _, roots = record
+        if certificate is None and p <= CERT_PRIME_BOUND:
+            if record.is_irreducible():  # n = 1, or no root mod p
+                certificate = CertifiedModP(p)
+            elif roots == n <= SPLIT_DEGREE_CAP:
+                certificate = CertifiedSplitPrime(p, _recombine(f, fp, n // 2))
+                root_open = False
+        if root_open and (roots in (0, n) or mod_is_squarefree(fp)):
+            if roots:
+                _recombine(f, fp, 1)
+            root_open = False
+        if not root_open and (certificate is not None or p >= CERT_PRIME_BOUND):
             break
-        # n >= 2 here, as Ben-Or accepts every f of degree 1
-        if record.roots == f.degree and f.degree <= SPLIT_DEGREE_CAP:
-            certificate = _split_prime_certificate(f, record.fp)
-            break
-    return NumberField(f, certificate, tuple(scan))
+    return NumberField(f, certificate or AssumedIrreducible(), tuple(scan))
 
 
-def _split_prime_certificate(f: UPoly, fp: ModPoly) -> CertifiedSplitPrime:
-    """Decide f, monic of degree n >= 2 with no rational root, at a prime p
-    where it splits into distinct linear factors (Zassenhaus; Cohen, *A Course
-    in Computational Algebraic Number Theory*, 3.5).
+def _recombine(f: UPoly, fp: ModPoly, half: int) -> int:
+    """Lift the roots of f, monic of degree n >= 2, at a prime p where f mod p
+    is squarefree, and recombine them (Zassenhaus; Cohen, *A Course in
+    Computational Algebraic Number Theory*, 3.5): raise RationalRoot with
+    the least rational root by (|num|, den, sign), else ZeroDivisor with a
+    monic factor of degree 2..half, else return the precision k.
 
-    A reducible F = D^n f(y/D) has a monic integer factor g of degree d in
-    2..n/2 (degree 1 would be a rational root), and by Mignotte's bound
-    |g_i| <= C(d, i) ||F||_2 <= C(n/2, i) (isqrt(sum F_j^2) + 1).  Mod p, g is
-    the product of y - m_t over d of the roots m_t of F, and by Hensel's lemma
-    that stays so for the roots lifted to any p^k.  At the least k with p^k
-    above twice every bound, the symmetric residues of that product are the
-    coefficients of g.  So trying every root subset of size 2..n/2, the
-    constant term first (within its bound and dividing F_0), then every
-    coefficient, then exact division, either finds a factor, raised as
-    ZeroDivisor with the monic factor of f, or proves f irreducible:
-    CertifiedSplitPrime(p, k).
+    A monic integer factor g of degree d <= half of F = D^n f(y/D) has
+    |g_i| <= C(d, i) ||F||_2 <= C(half, i) (isqrt(sum F_j^2) + 1) by
+    Mignotte's bound.  Mod p, g is the product of y - m_t over d of the
+    roots m_t of F, and by Hensel's lemma that stays so for the roots lifted
+    to any p^k.  At the least k with p^k above twice every bound, the
+    symmetric residues of that product are the coefficients of g: for d = 1
+    a root that is an integer root of F, for d >= 2 a subset tried by its
+    constant term (within its bound and dividing F_0), every coefficient,
+    then exact division.  At half = n/2 and n roots mod p, finding none
+    proves f irreducible.
     """
-    p, n = fp.p, f.degree
+    p = fp.p
     D, F = integral_model(f)
-    half = n // 2
     norm = math.isqrt(sum(c * c for c in F)) + 1
     bounds = [math.comb(half, i) * norm for i in range(half + 1)]
     k = lift_precision(p, max(bounds))
     modulus = p**k
     roots = [D * r % modulus for r in newton_lift(f, fp.roots(), p, 1, k)]
+    ys = [_symmetric(m, modulus) for m in roots]
+    rational = [Fraction(y, D) for y in ys if not sum(c * y**i for i, c in enumerate(F))]
+    if rational:
+        raise RationalRoot(min(rational, key=lambda q: (abs(q.numerator), q.denominator, q < 0)))
     for d in range(2, half + 1):
         for subset in combinations(roots, d):
             # a factor's constant term divides F_0, which is not 0 (0 is no root)
@@ -489,41 +506,7 @@ def _split_prime_certificate(f: UPoly, fp: ModPoly) -> CertifiedSplitPrime:
             g = [_symmetric(c, modulus) for c in g]
             if all(abs(c) <= b for c, b in zip(g, bounds)) and not UPoly(F) % UPoly(g):
                 raise ZeroDivisor(UPoly([Fraction(c, D ** (d - i)) for i, c in enumerate(g)]))
-    return CertifiedSplitPrime(p, k)
-
-
-def _rational_root(f: UPoly) -> Fraction | None:
-    """The rational root of squarefree f least by (|num|, den, sign), or None.
-
-    With c_n x^n + ... + c_0 the primitive integer model of f, every rational
-    root is y / c_n for an integer root y of the monic integer polynomial
-    g(y) = c_n^(n-1) * f(y / c_n) (up to the scale of f).  The integer roots
-    of g are its roots modulo a small prime p where g stays squarefree,
-    Newton-lifted until p^k exceeds twice the Cauchy bound of g and checked
-    exactly; the time grows with the digits of f's coefficients, not with
-    their size.
-    """
-    ints, _ = f.integerized()
-    if ints[0] == 0:
-        return Fraction(0)
-    n = len(ints) - 1
-    lead = ints[-1]
-    g = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-    bound = 1 + max(abs(c) for c in g[:-1])  # |y| <= bound for every root y
-    for p in primes_from(2):
-        gp = ModPoly(p, g)
-        if mod_is_squarefree(gp):
-            break
-    k = lift_precision(p, bound)
-    modulus = p**k
-    gq = UPoly(g)
-    roots = []
-    for r in newton_lift(gq, gp.roots(), p, 1, k):
-        y = _symmetric(r, modulus)
-        if gq(y) == 0:
-            roots.append(Fraction(y, lead))
-    return min(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0),
-               default=None)
+    return k
 
 
 def _force_field(f: UPoly) -> NumberField:

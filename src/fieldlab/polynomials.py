@@ -15,9 +15,11 @@ Representation conventions:
  - The p-adic layer under field construction and automorphisms:
    ``frobenius_scan`` yields one ``ScanRecord`` per prime, f mod p with
    x^p mod (p, f) and the root count deg gcd(f mod p, x^p - x), each taken
-   once and read by both.  A record holds the one modular test of each
-   property of f: irreducibility by Ben-Or (``is_irreducible``), full
-   splitting by a root count of n; squarefreeness is gcd(f, f') = 1
+   once and read by both.  It is the only loop over primes in fieldlab:
+   the certificates, the rational-root test and the automorphism walk all
+   read its records.  A record holds the one modular test of each property
+   of f: irreducibility by Ben-Or (``is_irreducible``), full splitting by a
+   root count of n; squarefreeness is gcd(f, f') = 1
    (``mod_is_squarefree``).  ``integral_model`` gives the monic integer
    F = D^n f(y/D); ``newton_lift`` lifts simple roots; ``lift_precision``
    is the least p^k above twice a proven bound, where the symmetric

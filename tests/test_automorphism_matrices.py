@@ -25,7 +25,7 @@ from fieldlab import (  # noqa: E402
     parse_poly,
     poly_eval,
 )
-from fieldlab import galois, numberfield  # noqa: E402
+from fieldlab import galois  # noqa: E402
 from fieldlab.cli import main  # noqa: E402
 from fieldlab.polynomials import ModPoly  # noqa: E402
 from conftest import GALOIS_POLYS, field, shifted  # noqa: E402
@@ -142,14 +142,13 @@ def test_analyze_computes_each_frobenius_power_once(monkeypatch, capsys, text):
     # x^p mod (p, f) is powmod(p) of the polynomial x, and gcd(f, x^p - x)
     # gives the root count: the prime scan takes each once per prime, Ben-Or's
     # first step included, and the walk reuses the records make_field kept.
-    # The walk takes gcd(f, f') only where the count is neither 0 nor n: a
-    # split f is squarefree, and a rootless prime bounds nothing.  The
-    # rational-root test picks a squarefree prime of its own, apart from this.
+    # The walk and the rational-root decision take gcd(f, f') only where the
+    # count is neither 0 nor n: a split f is squarefree, and a rootless prime
+    # bounds nothing and has no rational root.  Every gcd is one of f mod p.
     f = parse_poly(text).monic()
     n = f.degree
     powers, gcds = [], []
     powmod, gcd = ModPoly.powmod, ModPoly.gcd
-    rational_root = numberfield._rational_root
 
     def recording_powmod(self, e, modulus):
         if self.coeffs == (0, 1) and e == self.p:
@@ -160,23 +159,15 @@ def test_analyze_computes_each_frobenius_power_once(monkeypatch, capsys, text):
         gcds.append((self, other))
         return gcd(self, other)
 
-    def own_gcds(g):
-        start = len(gcds)
-        root = rational_root(g)
-        del gcds[start:]
-        return root
-
     monkeypatch.setattr(ModPoly, "powmod", recording_powmod)
     monkeypatch.setattr(ModPoly, "gcd", recording_gcd)
-    monkeypatch.setattr(numberfield, "_rational_root", own_gcds)
     assert main(["analyze", text, "--json"]) == 0
     capsys.readouterr()
     assert powers and len(powers) == len(set(powers)), powers
+    assert all(a == ModPoly.from_upoly(f, a.p) for a, _ in gcds)
     counted = []
     for a, b in gcds:
         p = a.p
-        if a != ModPoly.from_upoly(f, p):
-            continue
         x = ModPoly(p, [0, 1])
         if b == powmod(x, p, a) - x:
             counted.append(p)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -521,6 +522,21 @@ def test_subprocess_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"][0]["automorphism_count"] == 2
+
+
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_closed_reader_keeps_the_exit_code_and_a_quiet_stderr(flags):
+    # the read end of the pipe is closed before the command writes a byte
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fieldlab.cli", "analyze", "x^2+1/6469693230", *flags],
+            stdout=write, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_successive_calls_print_what_fresh_processes_print(capsys):

@@ -1,6 +1,7 @@
 """Field construction, certificates, and exact element arithmetic."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -23,8 +24,8 @@ from fieldlab import (
     make_field,
     parse_poly,
 )
-from fieldlab.numberfield import _force_field, invert
-from fieldlab.polynomials import frobenius_scan, is_prime
+from fieldlab.numberfield import CERT_PRIME_BOUND, _force_field, invert
+from fieldlab.polynomials import frobenius_scan, is_prime, mod_is_squarefree
 from conftest import field, random_elem, random_nonzero_elem
 
 
@@ -40,10 +41,20 @@ def test_make_field_certificate_mod_3():
     assert E.certificate.prime == 3
 
 
-def test_make_field_rational_root():
+# P is the product of the primes up to 211: x^2 - 2P^2 is x^2 modulo each of
+# them, with one root and no squarefree reduction, so the question of a
+# rational root stays open until p = 223, past CERT_PRIME_BOUND
+P = math.prod(p for p in range(2, 212) if is_prime(p))
+
+
+@pytest.mark.parametrize("text, witness", [
+    pytest.param("x^2-1", 1, id="x^2-1"),
+    pytest.param(f"(x-1)*(x^2-{2 * P * P})", 1, id="(x-1)*(x^2-2P^2)"),
+])
+def test_make_field_rational_root(text, witness):
     with pytest.raises(RationalRoot) as e:
-        field("x^2-1")
-    assert e.value.witness == 1
+        make_field(parse_poly(text))
+    assert e.value.witness == witness
 
 
 def test_make_field_degree_one():
@@ -234,16 +245,22 @@ def test_str_rendering(qi):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("text", ["x^2+1", "x^4+1", "x^4+1/16", "x^8+1", "(x^3-2)*(x^3-3)"])
+@pytest.mark.parametrize("text", ["x^2+1", "x^4+1", "x^4+1/16", "x^8+1", "(x^3-2)*(x^3-3)",
+                                  pytest.param(f"x^2-{2 * P * P}", id="x^2-2P^2")])
 def test_field_keeps_its_prime_scan(text):
-    # scan is the prefix of frobenius_scan up to the deciding prime
+    # scan is the prefix of frobenius_scan up to the later of two primes: the
+    # certificate's (CERT_PRIME_BOUND when it is assumed) and the first that
+    # decides the rational-root question, with no root or a squarefree f mod p
     E = make_field(parse_poly(text))
     last = E.scan[-1].p
     assert E.scan == tuple(frobenius_scan(E.minpoly, 2, last))
-    if isinstance(E.certificate, CertifiedSplitPrime):
-        assert last == E.certificate.prime
+    decided = next(r.p for r in E.scan
+                   if r.roots in (0, E.degree) or mod_is_squarefree(r.fp))
     if isinstance(E.certificate, AssumedIrreducible):
-        assert last == max(p for p in range(2, 201) if is_prime(p))
+        assert last == max(CERT_PRIME_BOUND, decided)
+        assert last == (223 if str(2 * P * P) in text else 199)
+    else:
+        assert last == E.certificate.prime >= decided
 
 
 def test_pickle_and_copy_round_trips():

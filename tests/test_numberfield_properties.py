@@ -1,7 +1,7 @@
 """Property tests of the integer-numerator element core, its multiplication
 matrix and norm against plain Fraction arithmetic, on integral and
-non-integral defining polynomials, and of the modular rational-root search
-against the rational-root test."""
+non-integral defining polynomials, and of make_field's rational-root
+decision against the rational-root test by trial division."""
 
 import math
 from fractions import Fraction
@@ -11,8 +11,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from fieldlab import QMatrix, UPoly, ZeroDivisor, norm, poly_gcd, regrep  # noqa: E402
-from fieldlab.numberfield import _force_field, _rational_root, invert  # noqa: E402
+from fieldlab import (  # noqa: E402
+    QMatrix,
+    RationalRoot,
+    UPoly,
+    ZeroDivisor,
+    make_field,
+    norm,
+    poly_gcd,
+    regrep,
+)
+from fieldlab.numberfield import _force_field, invert  # noqa: E402
 
 RATIONALS = st.fractions(-9, 9, max_denominator=6)
 
@@ -146,7 +155,14 @@ def test_rational_root_matches_divisor_scan(roots, cofactor):
     f = UPoly(cofactor)
     for r in roots:
         f = f * UPoly([-r, 1])
-    # _rational_root expects a squarefree non-constant f
-    assume(f.degree >= 1 and poly_gcd(f, f.derivative()).degree == 0)
+    # make_field tests a squarefree f of degree >= 2 for a rational root
+    assume(f.degree >= 2 and poly_gcd(f, f.derivative()).degree == 0)
     f = f.monic()
-    assert _rational_root(f) == divisor_scan_root(f)
+    root = divisor_scan_root(f)
+    if root is None:
+        # a rootless f here is the cofactor, of degree <= 3: irreducible
+        assert make_field(f).minpoly == f
+    else:
+        with pytest.raises(RationalRoot) as e:
+            make_field(f)
+        assert e.value.witness == root
