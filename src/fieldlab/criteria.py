@@ -8,13 +8,17 @@ prime, whose distinct images are the distinct conjugates of a
 is the nonvanishing of det[(sigma tau)(a)], equivalently the conjugates of a
 forming a Q-basis; both routes are implemented so each can serve as the
 other's oracle.  The density probe proves "no low-degree relation" by full
-column rank of the monomial matrix modulo a fixed prime and eliminates
-exactly over Q only when that rank falls short.
+column rank of the monomial matrix modulo a fixed prime, reading the points
+one at a time until that rank is full, so it reads about as many points as
+the matrix has columns, however many there are; it converts every point and
+eliminates exactly over Q only when that rank falls short.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, prod
 from typing import NamedTuple
 
@@ -130,42 +134,54 @@ def no_low_degree_relation(points, d: int) -> bool:
     """True iff no nonzero polynomial of total degree <= d vanishes on all
     the points: the monomial evaluation matrix has full column rank.
 
-    The rows are first reduced modulo FILTER_PRIME, one point at a time, and
-    full column rank there proves the answer True.  Only when that rank falls
-    short (a relation exists, or the prime is unlucky) or the prime divides a
-    denominator is the matrix eliminated exactly over Q."""
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    if not pts:
+    A Sequence of points is read by index, anything else is listed first.
+    The modular filter reads the points one at a time and stops at full
+    rank mod FILTER_PRIME, which proves the answer True: it reads about
+    C(m+d, d) of them for m coordinates, not all.  A point with FILTER_PRIME in a denominator
+    gives no row, since full rank mod the prime of any subset of the rows
+    is full rank over Q of them all.  Only when that rank falls short (a
+    relation exists, or the prime is unlucky) is every point converted and
+    the matrix eliminated exactly over Q."""
+    if not isinstance(points, Sequence):
+        points = list(points)
+    if not points:
         raise InsufficientSample(1, 0)
-    m = len(pts[0])
+    visits = _strided(points)
+    first = next(visits)
+    m = len(first)
     needed = comb(m + d, d)
-    if len(pts) < needed:
-        raise InsufficientSample(needed, len(pts))
+    if len(points) < needed:
+        raise InsufficientSample(needed, len(points))
     monos = _monomials(m, d)
     if len(monos) != needed:
         raise AssertionError("monomial count differs from C(m+d, d)")
-    if (
-        all(c.denominator % FILTER_PRIME for p in pts for c in p)
-        and _rank_mod(_rows_mod(pts, monos, d), FILTER_PRIME, needed) == needed
-    ):
+    if _rank_mod(_rows_mod(chain([first], visits), monos, d), FILTER_PRIME, needed) == needed:
         return True
+    pts = [tuple(Fraction(c) for c in p) for p in points]
     rows = [_monomial_row([[c ** e for e in range(d + 1)] for c in p], monos) for p in pts]
     return rank_and_solve(QMatrix(rows)).rank == needed
 
 
-def _rows_mod(pts, monos, d: int):
-    # The monomial rows modulo FILTER_PRIME, one point at a time, so that the
-    # rank kernel builds no row past the one that completes its rank.  Points
-    # are visited with a step near n / golden ratio and coprime to n:
-    # neighbouring points of a product grid share coordinates, so a run of
-    # them lies on a low-degree hypersurface and adds little rank, while
-    # strided points rarely do.
-    n = len(pts)
+def _strided(points):
+    # The points with a step near n / golden ratio and coprime to n, so each
+    # once: neighbouring points of a product grid share coordinates, so a
+    # run of them lies on a low-degree hypersurface and adds little rank,
+    # while strided points rarely do.
+    n = len(points)
     step = round(n * 0.618)
     while gcd(step, n) != 1:
         step += 1
-    for i in range(n):
-        point = pts[i * step % n]
+    return (points[i * step % n] for i in range(n))
+
+
+def _rows_mod(points, monos, d: int):
+    # The monomial rows modulo FILTER_PRIME, one point at a time, so that the
+    # rank kernel reads and converts no point past the one that completes
+    # its rank; a point with FILTER_PRIME in a denominator gives no row.
+    for point in points:
+        point = [Fraction(c) for c in point]
+        if any(c.denominator % FILTER_PRIME == 0 for c in point):
+            continue
         residues = [c.numerator * pow(c.denominator, -1, FILTER_PRIME) % FILTER_PRIME
                     for c in point]
         yield _monomial_row(

@@ -5,7 +5,8 @@ generator, and r must be a root of f in E.  The engine finds every such r:
 
   1. read the root counts of the prime scan where f mod p is squarefree,
      until one count is 1 or n; the records ``make_field`` kept on the
-     field (``NumberField.scan``) come first, and
+     field (``NumberField.scan``, with its squarefree answers in
+     ``NumberField.squarefree``) come first, and
      ``polynomials.frobenius_scan`` resumes after the last,
   2. Hensel-lift the n roots at the split prime, once, to a precision p^k
      proven from f alone (below),
@@ -115,6 +116,12 @@ def _scan(E: NumberField, lo: int, hi: int):
         if last >= lo:
             yield record
     yield from frobenius_scan(E.minpoly, max(lo, last + 1), hi)
+
+
+def _squarefree(E: NumberField, record) -> bool:
+    # whether f mod p is squarefree: make_field's answer where it took one
+    known = E.squarefree.get(record.p)
+    return mod_is_squarefree(record.fp) if known is None else known
 
 
 def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
@@ -261,7 +268,7 @@ def automorphisms_with_diagnostics(
         # a root count bounds |Aut| where f mod p is squarefree, as it is
         # where f splits
         count = record.roots
-        if count == n or count and mod_is_squarefree(record.fp):
+        if count == n or count and _squarefree(E, record):
             b = min(b, count)
             if b == 1 or count == n:
                 break

@@ -92,17 +92,21 @@ class NumberField:
     """E = Q[x]/(f) with f monic of degree n >= 1.
 
     scan is the prefix of ``frobenius_scan(f, 2, ...)`` that ``make_field``
-    read, one ``ScanRecord`` per prime; it takes no part in equality."""
+    read, one ``ScanRecord`` per prime, and squarefree maps each prime of it
+    where ``make_field`` took gcd(f mod p, f') to whether f mod p is
+    squarefree; neither takes part in equality."""
 
-    __slots__ = ("minpoly", "degree", "certificate", "scan",
+    __slots__ = ("minpoly", "degree", "certificate", "scan", "squarefree",
                  "_reduction_rows", "_reduction_den")
 
-    def __init__(self, minpoly: UPoly, certificate, scan: tuple = ()):
+    def __init__(self, minpoly: UPoly, certificate, scan: tuple = (),
+                 squarefree: dict | None = None):
         n = minpoly.degree
         self.minpoly = minpoly
         self.degree = n
         self.certificate = certificate
         self.scan = scan
+        self.squarefree = squarefree or {}
         # theta**(n+j) = _reduction_rows[j] / _reduction_den in the power
         # basis, j = 0..n-2; the denominator is 1 for every integral f
         rows = [tuple(-c for c in minpoly.coeffs[:n])]
@@ -435,7 +439,8 @@ def make_field(f: UPoly) -> NumberField:
     none, and one where f mod p is squarefree has every r among the lifts of
     its roots (``_recombine``).  Only this question takes the scan past
     CERT_PRIME_BOUND, and only until f is squarefree mod p, as it is at all
-    but finitely many primes.  The field keeps every record read.
+    but finitely many primes.  The field keeps every record read, and every
+    squarefree answer taken.
     """
     if f.is_zero or f.degree < 1:
         raise ConstantPolynomial(f"cannot build a field on {f!r}")
@@ -446,7 +451,7 @@ def make_field(f: UPoly) -> NumberField:
     n = f.degree
     certificate = None
     root_open = n >= 2  # whether f may still have a rational root
-    scan = []
+    scan, squarefree = [], {}
     for record in frobenius_scan(f, 2, math.inf):
         scan.append(record)
         p, fp, _, roots = record
@@ -456,13 +461,13 @@ def make_field(f: UPoly) -> NumberField:
             elif roots == n <= SPLIT_DEGREE_CAP:
                 certificate = CertifiedSplitPrime(p, _recombine(f, fp, n // 2))
                 root_open = False
-        if root_open and (roots in (0, n) or mod_is_squarefree(fp)):
+        if root_open and (roots in (0, n) or squarefree.setdefault(p, mod_is_squarefree(fp))):
             if roots:
                 _recombine(f, fp, 1)
             root_open = False
         if not root_open and (certificate is not None or p >= CERT_PRIME_BOUND):
             break
-    return NumberField(f, certificate or AssumedIrreducible(), tuple(scan))
+    return NumberField(f, certificate or AssumedIrreducible(), tuple(scan), squarefree)
 
 
 def _recombine(f: UPoly, fp: ModPoly, half: int) -> int:

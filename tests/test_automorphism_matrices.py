@@ -137,14 +137,16 @@ def test_handed_over_scan_reports_the_same_prime_and_precision(text):
 
 
 @pytest.mark.parametrize("text", ["x^4+1", "x^8+1", "x^4-10*x^2+1", "x^6-2", "x^7-x-1",
-                                  "x^3-x+3", "x^4+1/16"])
+                                  "x^3-x+3", "x^4+1/16", "x^3-2"])
 def test_analyze_computes_each_frobenius_power_once(monkeypatch, capsys, text):
     # x^p mod (p, f) is powmod(p) of the polynomial x, and gcd(f, x^p - x)
     # gives the root count: the prime scan takes each once per prime, Ben-Or's
     # first step included, and the walk reuses the records make_field kept.
     # The walk and the rational-root decision take gcd(f, f') only where the
     # count is neither 0 nor n: a split f is squarefree, and a rootless prime
-    # bounds nothing and has no rational root.  Every gcd is one of f mod p.
+    # bounds nothing and has no rational root.  The walk reads the answers
+    # the rational-root decision took, so each prime's is taken at most once
+    # (x^3-2 has one root at 2, 3 and 5).  Every gcd is one of f mod p.
     f = parse_poly(text).monic()
     n = f.degree
     powers, gcds = [], []
@@ -165,7 +167,7 @@ def test_analyze_computes_each_frobenius_power_once(monkeypatch, capsys, text):
     capsys.readouterr()
     assert powers and len(powers) == len(set(powers)), powers
     assert all(a == ModPoly.from_upoly(f, a.p) for a, _ in gcds)
-    counted = []
+    counted, derived = [], []
     for a, b in gcds:
         p = a.p
         x = ModPoly(p, [0, 1])
@@ -173,7 +175,9 @@ def test_analyze_computes_each_frobenius_power_once(monkeypatch, capsys, text):
             counted.append(p)
         elif b == a.derivative():
             assert 1 <= len(a.roots()) < n, (p, a)
+            derived.append(p)
     assert sorted(counted) == sorted(powers), (counted, powers)
+    assert len(derived) == len(set(derived)), derived
 
 
 def test_group_paths_neither_compose_nor_multiply(monkeypatch):

@@ -1,6 +1,8 @@
 """Primitivity, separability, normal-basis criteria, and density probes."""
 
+import itertools
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -229,3 +231,48 @@ P = FILTER_PRIME
 ])
 def test_probe_exact_fallback(points, d, expected):
     assert no_low_degree_relation(points, d) is expected
+
+
+class CountingPoints(Sequence):
+    """A point list that records the index of every item read."""
+
+    def __init__(self, points):
+        self.points = points
+        self.reads = []
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.points[i]
+
+
+def probe_grid(m):
+    # the CLI's grid: each axis the values of one polynomial on -m..m
+    polys = [parse_poly(t) for t in ("x^2-1", "x^3+x", "x^5-x")]
+    axes = [[h(Fraction(t)) for t in range(-m, m + 1)] for h in polys]
+    return list(itertools.product(*axes))
+
+
+def test_probe_reads_only_the_points_its_filter_uses():
+    # full rank needs C(3+4, 4) = 35 rows: the filter reads about that many
+    # points, each once, however large the grid
+    counts = []
+    for m in (4, 20):
+        points = CountingPoints(probe_grid(m))
+        assert len(points) == (2 * m + 1) ** 3
+        assert no_low_degree_relation(points, 4) is True
+        assert len(points.reads) == len(set(points.reads)) <= 40
+        counts.append(len(points.reads))
+    assert counts[0] == counts[1]
+
+
+def test_probe_takes_any_iterable_of_points():
+    # a generator is listed first and gives the verdict of the list; the
+    # second case, on the plane x = 3, takes the exact elimination
+    grid = probe_grid(4)
+    plane = [p for p in grid if p[0] == 3]
+    for points, d, expected in ((grid, 4, True), (plane, 2, False)):
+        assert no_low_degree_relation((p for p in points), d) is expected
+        assert no_low_degree_relation(points, d) is expected

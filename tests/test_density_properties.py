@@ -1,13 +1,14 @@
 """Property test of the density probe's modular rank filter: its verdict must
 equal the rank of the monomial matrix by exact elimination over Q."""
 
+import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from fieldlab import QMatrix, no_low_degree_relation, rank_and_solve  # noqa: E402
 from fieldlab.criteria import _monomials  # noqa: E402
@@ -57,5 +58,29 @@ def samples(draw):
 @settings(max_examples=150, deadline=None)
 @given(samples())
 def test_probe_matches_exact_elimination(sample):
+    points, d = sample
+    assert no_low_degree_relation(points, d) == exact_verdict(points, d)
+
+
+@st.composite
+def product_grids(draw):
+    # product grids whose axes repeat values, as the CLI's do: its axis of
+    # x^2 on -2..2 is 4, 1, 0, 1, 4
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(k):
+        pool = draw(st.lists(RATIONALS, min_size=2, max_size=5, unique=True))
+        axes.append(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6)))
+    assume(prod(map(len, axes)) >= comb(k + d, d))
+    if draw(st.booleans()):
+        axis = draw(st.sampled_from(axes))
+        axis[draw(st.integers(0, len(axis) - 1))] = draw(UNLUCKY)
+    return list(itertools.product(*axes)), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_grids())
+def test_probe_on_product_grids_matches_exact_elimination(sample):
     points, d = sample
     assert no_low_degree_relation(points, d) == exact_verdict(points, d)
