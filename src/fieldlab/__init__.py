@@ -31,7 +31,6 @@ from .errors import (
 from .polynomials import (
     ModPoly,
     UPoly,
-    mod_is_irreducible,
     poly_eval,
     poly_gcd,
     squarefree_part,
@@ -45,11 +44,9 @@ from .numberfield import (
     make_field,
 )
 from .linalg import (
-    EMatrix,
     QMatrix,
     SolveResult,
     field_det,
-    matrix_rank,
     qmatrix_det,
     rank_and_solve,
 )
@@ -74,8 +71,6 @@ from .criteria import (
     PrimitivityReport,
     SeparabilityReport,
     conjugate_rank,
-    density_rank,
-    is_galois,
     is_normal_generator,
     is_primitive,
     is_separable_ext,
@@ -107,13 +102,11 @@ __all__ = [
     "PolySyntaxError", "EmptyInput",
     # polynomials
     "UPoly", "ModPoly", "poly_gcd", "poly_eval", "squarefree_part",
-    "mod_is_irreducible",
     # fields
     "NumberField", "FieldElem", "make_field", "CertifiedModP",
     "CertifiedSplitPrime", "AssumedIrreducible",
     # linear algebra
-    "QMatrix", "EMatrix", "SolveResult", "rank_and_solve", "matrix_rank",
-    "qmatrix_det", "field_det",
+    "QMatrix", "SolveResult", "rank_and_solve", "qmatrix_det", "field_det",
     # parsing and formatting
     "parse_poly", "format_poly", "format_elem",
     # representation
@@ -124,8 +117,8 @@ __all__ = [
     "GaloisGroup", "galois_group", "conjugate_vector", "minpoly_from_images",
     # criteria
     "PrimitivityReport", "SeparabilityReport", "NormalReport", "is_primitive",
-    "is_separable_ext", "is_galois", "normal_det", "is_normal_generator",
-    "conjugate_rank", "density_rank", "no_low_degree_relation",
+    "is_separable_ext", "normal_det", "is_normal_generator", "conjugate_rank",
+    "no_low_degree_relation",
     # search
     "SearchConfig", "PerH", "WitnessedElement", "enumerate_candidates",
     "search_primitive", "search_normal", "distinct_mod_scalars",

@@ -23,10 +23,10 @@ from math import comb, gcd, prod
 from typing import NamedTuple
 
 from .errors import InsufficientSample
-from .galois import GaloisGroup, automorphisms, conjugate_vector
-from .linalg import FILTER_PRIME, EMatrix, QMatrix, _rank_mod, field_det, rank_and_solve
+from .galois import GaloisGroup, conjugate_vector
+from .linalg import FILTER_PRIME, QMatrix, _rank_mod, field_det, rank_and_solve
 from .numberfield import FieldElem, NumberField
-from .polynomials import UPoly, squarefree_part
+from .polynomials import squarefree_part
 from .representation import minpoly, trace_gram
 
 
@@ -74,11 +74,6 @@ def is_separable_ext(E: NumberField) -> SeparabilityReport:
     )
 
 
-def is_galois(E: NumberField, **options) -> bool:
-    """True iff the proved automorphism count equals the degree."""
-    return len(automorphisms(E, **options)) == E.degree
-
-
 def normal_det(G: GaloisGroup, a: FieldElem) -> FieldElem:
     """det of the |G| x |G| matrix with entry (i, j) = (sigma_i sigma_j)(a)."""
     conj = conjugate_vector(G, a)
@@ -97,19 +92,6 @@ def conjugate_rank(G: GaloisGroup, a: FieldElem) -> int:
     independent oracle for is_normal_generator (rank n iff normal)."""
     conj = conjugate_vector(G, a)
     return rank_and_solve(QMatrix([list(c.coeffs) for c in conj])).rank
-
-
-def density_rank(vectors) -> int:
-    """Rank over E of a set of vectors in E^n: the dimension of the Zariski
-    closure of their Q-span."""
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return 0
-    parent = vectors[0][0].parent
-    for v in vectors:
-        for entry in v:
-            parent._check_same(entry.parent)
-    return rank_and_solve(EMatrix(parent, vectors)).rank
 
 
 def _monomials(m: int, d: int) -> list[tuple[int, ...]]:

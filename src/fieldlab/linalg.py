@@ -1,26 +1,24 @@
-"""Exact matrices over Q and over a number field, and every elimination kernel.
+"""Exact matrices over Q, and every elimination kernel.
 
-Row reduction uses deterministic pivoting (first nonzero entry in column
-order), so ranks, solutions and kernels are bit-reproducible.  Fraction-free
-Bareiss elimination (``_bareiss_int``) gives determinants over Q on
-integerized rows and solves the integer systems of ``numberfield.invert``;
-determinants over a number field use Bareiss directly, inverting only the
-previous pivot (lazy inversion, where a hidden factor of an
-AssumedIrreducible polynomial surfaces as ZeroDivisor).  A private kernel
-ranks integer rows modulo a fixed prime, a lower bound on their rank over Q
-that callers use as a filter in front of exact elimination.
+Row reduction over Q uses deterministic pivoting (first nonzero entry in
+column order), so ranks, solutions and kernels are bit-reproducible.
+Fraction-free Bareiss elimination (``_bareiss_int``) gives determinants over
+Q on integerized rows and solves the integer systems of
+``numberfield.invert``; determinants of nested lists of number field
+elements (``field_det``) use Bareiss directly, inverting only the previous
+pivot (lazy inversion, where a hidden factor of an AssumedIrreducible
+polynomial surfaces as ZeroDivisor).  A private kernel ranks integer rows
+modulo a fixed prime, a lower bound on their rank over Q that callers use as
+a filter in front of exact elimination.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch
-
-if TYPE_CHECKING:
-    from .numberfield import FieldElem, NumberField
 
 # The prime of the modular rank filter (_rank_mod): the Mersenne prime
 # 2^61 - 1.  A matrix of rank r over Q, its rows cleared of denominators, has
@@ -30,11 +28,7 @@ FILTER_PRIME = (1 << 61) - 1
 
 
 class QMatrix:
-    """Dense matrix over Q, row-major.
-
-    Adding a rational to a square matrix means adding c*I: matrices form a
-    Q-algebra and poly_eval relies on that embedding.
-    """
+    """Dense matrix over Q, row-major: a container with trace and det."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -45,14 +39,6 @@ class QMatrix:
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
         self.entries = data
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -66,56 +52,6 @@ class QMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.entries))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if self.rows != self.cols:
-                raise DimensionMismatch("scalar embedding needs a square matrix")
-            out = [list(r) for r in self.entries]
-            for i in range(self.rows):
-                out[i][i] += other
-            return QMatrix(out)
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return QMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QMatrix([[-c for c in r] for r in self.entries])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QMatrix) else -_frac(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QMatrix([[c * other for c in r] for r in self.entries])
-        if isinstance(other, QMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            ot = list(zip(*other.entries))
-            return QMatrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in ot]
-                    for row in self.entries
-                ]
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
@@ -124,39 +60,8 @@ class QMatrix:
     def det(self) -> Fraction:
         return qmatrix_det(self)
 
-    def column(self, j: int) -> list[Fraction]:
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def __repr__(self):
         return f"QMatrix({self.entries!r})"
-
-
-class EMatrix:
-    """Dense matrix with entries in one number field."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: NumberField, rows: Sequence[Sequence[FieldElem]]):
-        data = [list(row) for row in rows]
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise DimensionMismatch("ragged rows")
-        for row in data:
-            for e in row:
-                field._check_same(e.parent)
-        self.field = field
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        self.entries = data
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def det(self) -> FieldElem:
-        return field_det(self.entries, self.field.zero(), self.field.one())
-
-    def __repr__(self):
-        return f"EMatrix({self.rows}x{self.cols} over {self.field!r})"
 
 
 def _frac(c) -> Fraction:
@@ -173,25 +78,19 @@ class SolveResult(NamedTuple):
     kernel: list[list]
 
 
-def rank_and_solve(matrix, rhs=None) -> SolveResult:
-    """Exact elimination over Q (QMatrix) or over a number field (EMatrix)."""
-    if isinstance(matrix, QMatrix):
-        rows = [list(r) for r in matrix.entries]
-        zero, one = Fraction(0), Fraction(1)
-    elif isinstance(matrix, EMatrix):
-        rows = [list(r) for r in matrix.entries]
-        zero, one = matrix.field.zero(), matrix.field.one()
-    else:
-        raise TypeError("rank_and_solve expects a QMatrix or EMatrix")
-    ncols = len(rows[0]) if rows else 0
+def rank_and_solve(matrix: QMatrix, rhs=None) -> SolveResult:
+    """Exact elimination over Q."""
+    if not isinstance(matrix, QMatrix):
+        raise TypeError("rank_and_solve expects a QMatrix")
     if rhs is not None:
         rhs = list(rhs)
-        if len(rhs) != len(rows):
+        if len(rhs) != matrix.rows:
             raise DimensionMismatch("rhs length does not match row count")
-    return _solve(rows, ncols, rhs, zero, one)
+    return _solve(matrix.entries, matrix.cols, rhs)
 
 
-def _solve(rows, ncols, rhs, zero, one) -> SolveResult:
+def _solve(rows, ncols, rhs) -> SolveResult:
+    zero, one = Fraction(0), Fraction(1)
     work = [list(r) for r in rows]
     b = list(rhs) if rhs is not None else None
     pivots: list[tuple[int, int]] = []  # (row, col)
@@ -241,10 +140,6 @@ def _solve(rows, ncols, rhs, zero, one) -> SolveResult:
             vec[pc] = -(work[pr][free] / work[pr][pc])
         kernel.append(vec)
     return SolveResult(rank=rank, solution=solution, kernel=kernel)
-
-
-def matrix_rank(matrix) -> int:
-    return rank_and_solve(matrix).rank
 
 
 def _rank_mod(rows, p: int, target: int) -> int:

@@ -16,10 +16,12 @@ layer in ``polynomials`` (``frobenius_scan``):
   ``ZeroDivisor`` with its monic factor of f, so the same scan also rejects
   reducible f.  The cap n <= 8 bounds the recombination at 154 subsets.
 - ``AssumedIrreducible``: no prime up to 200 is irreducible or (for n <= 8)
-  split, as for (x^3-2)(x^3-3).  Any hidden factor of f then surfaces only
-  as a ``ZeroDivisor`` witness during inversion.  Distinct-degree patterns
-  and multifactor lifting at a prime with few factors, which would decide
-  these too, are not done.
+  split, as for (x^3-2)(x^3-3).  Before that is assumed, the roots of the
+  record that decided the rational-root question are recombined as well,
+  which catches a factor that splits into linear factors there.  Any other
+  hidden factor of f then surfaces only as a ``ZeroDivisor`` witness during
+  inversion.  Distinct-degree patterns and multifactor lifting at a prime
+  with few factors, which would decide these too, are not done.
 
 The same records decide whether f has a rational root (``make_field``),
 and only that question takes the scan past 200.  The field keeps the
@@ -429,8 +431,12 @@ def make_field(f: UPoly) -> NumberField:
       ZeroDivisor with a monic factor of f, or finds no factor of degree
       <= n/2: ``CertifiedSplitPrime(p, k)``.
 
-    With no such prime the field is built with AssumedIrreducible: a hidden
-    factor can then only surface as a ZeroDivisor during inversion.
+    With no such prime, the record that decided the rational-root question
+    (below) is recombined once more if it has 2..SPLIT_DEGREE_CAP roots,
+    over subsets of up to n/2 of them: that raises ZeroDivisor with any
+    factor that splits into linear factors mod its prime.  Otherwise the
+    field is built with AssumedIrreducible: a hidden factor can then only
+    surface as a ZeroDivisor during inversion.
 
     For n >= 2 the same records decide whether f has a rational root r
     (witness: the root).  D r is a root of the monic integer F = D^n f(y/D),
@@ -464,9 +470,12 @@ def make_field(f: UPoly) -> NumberField:
         if root_open and (roots in (0, n) or squarefree.setdefault(p, mod_is_squarefree(fp))):
             if roots:
                 _recombine(f, fp, 1)
-            root_open = False
+            root_open, settled = False, record
         if not root_open and (certificate is not None or p >= CERT_PRIME_BOUND):
             break
+    # with no certificate, n >= 2 and the loop left only once settled was set
+    if certificate is None and 2 <= settled.roots <= SPLIT_DEGREE_CAP:
+        _recombine(f, settled.fp, min(n // 2, settled.roots))
     return NumberField(f, certificate or AssumedIrreducible(), tuple(scan), squarefree)
 
 
@@ -486,7 +495,8 @@ def _recombine(f: UPoly, fp: ModPoly, half: int) -> int:
     a root that is an integer root of F, for d >= 2 a subset tried by its
     constant term (within its bound and dividing F_0), every coefficient,
     then exact division.  At half = n/2 and n roots mod p, finding none
-    proves f irreducible.
+    proves f irreducible; with fewer than n roots, finding none proves
+    nothing, since a factor need not split mod p.
     """
     p = fp.p
     D, F = integral_model(f)
@@ -512,11 +522,3 @@ def _recombine(f: UPoly, fp: ModPoly, half: int) -> int:
             if all(abs(c) <= b for c, b in zip(g, bounds)) and not UPoly(F) % UPoly(g):
                 raise ZeroDivisor(UPoly([Fraction(c, D ** (d - i)) for i, c in enumerate(g)]))
     return k
-
-
-def _force_field(f: UPoly) -> NumberField:
-    """Build a field skipping all validation (test hook for the lazy
-    ZeroDivisor path); f must still be non-constant."""
-    if f.degree < 1:
-        raise ConstantPolynomial(f"cannot build a field on {f!r}")
-    return NumberField(f.monic(), AssumedIrreducible())

@@ -252,7 +252,7 @@ def poly_eval(p: UPoly, point):
 
     The point's type must support addition/multiplication among its own
     values and with Fractions, where scalar + value means the algebra
-    embedding of the scalar (FieldElem and QMatrix both provide this).
+    embedding of the scalar (FieldElem and UPoly both provide this).
     """
     acc = point * 0
     for c in reversed(p.coeffs):
@@ -495,13 +495,6 @@ def _scan_record(fp: ModPoly) -> ScanRecord:
     x = ModPoly(fp.p, [0, 1])  # fp monic of degree >= 1
     xp = x.powmod(fp.p, fp)
     return ScanRecord(fp.p, fp, xp, fp.gcd(xp - x).degree)
-
-
-def mod_is_irreducible(f: ModPoly) -> bool:
-    """Ben-Or's test on f's own ``ScanRecord``; False below degree 1."""
-    if f.degree < 1:
-        return False
-    return _scan_record(f.monic()).is_irreducible()
 
 
 def newton_lift(

@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference fields and seeded random element factories."""
+"""Shared fixtures: the reference fields, seeded random element factories,
+and test oracles that the library itself does not need."""
 
 import math
 import random
@@ -6,7 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from fieldlab import NumberField, UPoly, make_field, parse_poly, poly_eval
+from fieldlab import (
+    AssumedIrreducible,
+    ModPoly,
+    NumberField,
+    QMatrix,
+    UPoly,
+    automorphisms,
+    make_field,
+    parse_poly,
+    poly_eval,
+)
+from fieldlab.polynomials import _scan_record
 
 # Defining polynomials exercised throughout the suite.  Degrees 2..4 cover
 # quadratic, non-Galois cubic, and three flavors of quartic Galois group
@@ -88,3 +100,50 @@ def random_upoly(rng: random.Random, max_deg: int = 6, span: int = 9) -> UPoly:
     deg = rng.randint(0, max_deg)
     coeffs = [random_rational(rng, span) for _ in range(deg + 1)]
     return UPoly(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+
+def force_field(f: UPoly) -> NumberField:
+    """A field on the non-constant f with no validation at all, for the lazy
+    ZeroDivisor path of a reducible f and for non-reduced algebras."""
+    return NumberField(f.monic(), AssumedIrreducible())
+
+
+def matrix_product(a: QMatrix, b: QMatrix) -> QMatrix:
+    cols = list(zip(*b.entries))
+    return QMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
+                    for row in a.entries])
+
+
+def matrix_rank(rows) -> int:
+    """Rank of a list of rows over Q or over one number field, by plain
+    Gaussian elimination."""
+    work = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        for i in range(rank + 1, len(work)):
+            factor = work[i][c] / top[c]
+            work[i] = [x - factor * y for x, y in zip(work[i], top)]
+        rank += 1
+    return rank
+
+
+def is_galois(E: NumberField) -> bool:
+    """True iff the proved automorphism count equals the degree."""
+    return len(automorphisms(E)) == E.degree
+
+
+def mod_is_irreducible(f: ModPoly) -> bool:
+    """Ben-Or's test on the scan record of f; False below degree 1."""
+    if f.degree < 1:
+        return False
+    return _scan_record(f.monic()).is_irreducible()

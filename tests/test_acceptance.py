@@ -17,10 +17,8 @@ from fieldlab import (
     automorphisms,
     conjugate_rank,
     conjugate_vector,
-    density_rank,
     distinct_mod_scalars,
     galois_group,
-    is_galois,
     minpoly,
     norm,
     normal_det,
@@ -40,6 +38,8 @@ from conftest import (
     GALOIS_POLYS,
     REFERENCE_POLYS,
     field,
+    matrix_product,
+    matrix_rank,
     random_elem,
     random_nonzero_elem,
     random_upoly,
@@ -172,10 +172,10 @@ def test_criterion_08_density_cross_check_all_fields():
         G = galois_group(E)
         th = E.gen()
         vectors = [conjugate_vector(G, th**i) for i in range(E.degree)]
-        assert density_rank(vectors) == E.degree
+        assert matrix_rank(vectors) == E.degree
     for text in REFERENCE_POLYS:
         E = field(text)
-        assert is_galois(E) == (len(automorphisms(E)) == E.degree)
+        assert (len(automorphisms(E)) == E.degree) == (text in GALOIS_POLYS)
 
 
 def _strip_timings(text: str) -> str:
@@ -222,6 +222,6 @@ def test_criterion_10_invariant_suites_zero_tolerance():
             a = random_nonzero_elem(E, rng, span=8)
             b = random_elem(E, rng, span=8)
             assert a * invert(a) == E.one()
-            assert regrep(a * b) == regrep(a) * regrep(b)
+            assert regrep(a * b) == matrix_product(regrep(a), regrep(b))
             assert norm(a * b) == norm(a) * norm(b)
             assert trace(a + b) == trace(a) + trace(b)

@@ -33,9 +33,10 @@ from fieldlab import (
 )
 from fieldlab import galois, search
 from fieldlab.galois import DEFAULT_PRIME_BOUND, _lagrange_columns, minpoly_from_images
-from fieldlab.numberfield import _force_field
 from fieldlab.polynomials import mod_is_squarefree, primes_from
-from conftest import check_euler_coordinates, euler_bounds, field, random_elem, shifted
+from conftest import (
+    check_euler_coordinates, euler_bounds, field, force_field, random_elem, shifted,
+)
 
 RATIONAL_POLYS = ["x^2+1/4", "x^4+1/16", "x^4-5/2*x^2+1/16"]
 
@@ -256,7 +257,7 @@ def test_shared_root_label_exposes_a_factor():
     # x^4+4 = (x^2+2x+2)(x^2-2x+2); make_field rejects it at its split prime,
     # so the field is forced: two of its maps agree at the split prime
     with pytest.raises(ZeroDivisor) as e:
-        automorphisms(_force_field(parse_poly("x^4+4")))
+        automorphisms(force_field(parse_poly("x^4+4")))
     assert e.value.factor == parse_poly("x^2+2*x+2")
 
 

@@ -14,19 +14,19 @@ from fieldlab import (
     CertifiedSplitPrime,
     ConstantPolynomial,
     DivisionByZero,
-    EMatrix,
     FieldMismatch,
     NotSquarefree,
     RationalRoot,
     SearchConfig,
     UPoly,
     ZeroDivisor,
+    field_det,
     make_field,
     parse_poly,
 )
-from fieldlab.numberfield import CERT_PRIME_BOUND, _force_field, invert
+from fieldlab.numberfield import CERT_PRIME_BOUND, invert
 from fieldlab.polynomials import frobenius_scan, is_prime, mod_is_squarefree
-from conftest import field, random_elem, random_nonzero_elem
+from conftest import field, force_field, random_elem, random_nonzero_elem
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +100,9 @@ def test_product_of_cubics_is_assumed_irreducible():
     ("(4*x^2+1)*(x^2+1/9)", "x^2+1/4"),
     # degree 8 splits at 41; the factor has the largest subset size, n/2
     ("(x^4+1)*(x^4+x^3+x^2+x+1)", "x^4+1"),
+    # no prime up to 200 decides; at 223, which settles the rational-root
+    # question, x^2+1 has no root and the two roots of x^2-2P^2 name it
+    pytest.param(f"(x^2+1)*(x^2-{2 * P * P})", f"x^2-{2 * P * P}", id="(x^2+1)*(x^2-2P^2)"),
 ])
 def test_split_prime_names_a_factor(text, factor):
     with pytest.raises(ZeroDivisor) as e:
@@ -169,7 +172,7 @@ def test_invert_zero(qi):
 
 
 def test_zero_divisor_in_forced_field():
-    E = _force_field(parse_poly("x^2-1"))
+    E = force_field(parse_poly("x^2-1"))
     with pytest.raises(ZeroDivisor) as e:
         invert(E.element([-1, 1]))  # theta - 1
     assert e.value.factor == parse_poly("x-1")
@@ -177,16 +180,16 @@ def test_zero_divisor_in_forced_field():
 
 def test_zero_divisor_surfaces_in_inverse_and_determinant():
     # (x^2+1)(x^2+2) has no rational root; theta^2+1 is a zero divisor
-    E = _force_field(parse_poly("x^2+1") * parse_poly("x^2+2"))
+    E = force_field(parse_poly("x^2+1") * parse_poly("x^2+2"))
     a = E.element([1, 0, 1, 0])
     with pytest.raises(ZeroDivisor) as e:
         invert(a)
     assert e.value.factor == parse_poly("x^2+1")
     # the second Bareiss step divides by the first pivot, a
     zero, one = E.zero(), E.one()
-    m = EMatrix(E, [[a, zero, zero], [zero, one, zero], [zero, zero, one]])
+    rows = [[a, zero, zero], [zero, one, zero], [zero, zero, one]]
     with pytest.raises(ZeroDivisor) as e:
-        m.det()
+        field_det(rows, zero, one)
     assert e.value.factor == parse_poly("x^2+1")
 
 

@@ -21,7 +21,8 @@ from fieldlab import (  # noqa: E402
     poly_gcd,
     regrep,
 )
-from fieldlab.numberfield import _force_field, invert  # noqa: E402
+from fieldlab.numberfield import invert  # noqa: E402
+from conftest import force_field  # noqa: E402
 
 RATIONALS = st.fractions(-9, 9, max_denominator=6)
 
@@ -57,7 +58,7 @@ def draw_field(data, integral: bool):
         # one half-odd coefficient makes the reduction denominator > 1
         i = data.draw(st.integers(0, n - 1))
         low[i] = Fraction(2 * data.draw(st.integers(-9, 9)) + 1, 2)
-    E = _force_field(UPoly(list(low) + [1]))
+    E = force_field(UPoly(list(low) + [1]))
     assert (E._reduction_den == 1) == integral
     return E
 

@@ -9,7 +9,6 @@ from fieldlab import (
     ModPoly,
     UPoly,
     ZeroPolynomial,
-    mod_is_irreducible,
     parse_poly,
     poly_eval,
     poly_gcd,
@@ -22,7 +21,7 @@ from fieldlab.polynomials import (
     lift_precision,
     newton_lift,
 )
-from conftest import random_upoly
+from conftest import mod_is_irreducible, random_upoly
 
 
 def P(*coeffs) -> UPoly:

@@ -6,7 +6,6 @@ from fractions import Fraction
 from fieldlab import (
     QMatrix,
     UPoly,
-    matrix_rank,
     minpoly,
     norm,
     parse_poly,
@@ -15,7 +14,7 @@ from fieldlab import (
     trace,
     trace_gram,
 )
-from conftest import field, random_elem
+from conftest import field, matrix_product, matrix_rank, random_elem
 
 
 def charpoly(m: QMatrix) -> UPoly:
@@ -48,7 +47,7 @@ def test_regrep_generator_qi(qi):
 
 
 def test_regrep_one_is_identity(qi):
-    assert regrep(qi.one()) == QMatrix.identity(2)
+    assert regrep(qi.one()) == QMatrix([[1, 0], [0, 1]])
 
 
 def test_regrep_companion_cubic():
@@ -62,8 +61,10 @@ def test_regrep_is_ring_homomorphism(reference_fields):
         for _ in range(200 // len(reference_fields) + 1):
             a = random_elem(E, rng, span=6)
             b = random_elem(E, rng, span=6)
-            assert regrep(a + b) == regrep(a) + regrep(b)
-            assert regrep(a * b) == regrep(a) * regrep(b)
+            ra, rb = regrep(a), regrep(b)
+            assert regrep(a + b) == QMatrix(
+                [[x + y for x, y in zip(r, s)] for r, s in zip(ra.entries, rb.entries)])
+            assert regrep(a * b) == matrix_product(ra, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def test_minpoly_degree_n_iff_powers_full_rank():
         n = E.degree
         a = random_elem(E, rng, span=3)
         powers = QMatrix([[(a**j).coeffs[i] for j in range(n)] for i in range(n)])
-        assert (minpoly(a).degree == n) == (matrix_rank(powers) == n)
+        assert (minpoly(a).degree == n) == (matrix_rank(powers.entries) == n)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def test_trace_gram_nondegenerate(reference_fields):
     for E in reference_fields:
         g = trace_gram(E)
         assert qmatrix_det(g) != 0
-        assert matrix_rank(g) == E.degree
+        assert matrix_rank(g.entries) == E.degree
 
 
 def test_trace_gram_equals_traces_of_powers(reference_fields):
