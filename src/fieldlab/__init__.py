@@ -61,7 +61,6 @@ from .galois import (
     automorphisms_with_diagnostics,
     compose,
     conjugate_vector,
-    find_split_prime,
     galois_group,
     hensel_lift,
     minpoly_from_images,
@@ -112,7 +111,7 @@ __all__ = [
     # representation
     "regrep", "trace", "norm", "minpoly", "trace_gram",
     # galois
-    "SplitPrimeData", "find_split_prime", "hensel_lift", "Automorphism",
+    "SplitPrimeData", "hensel_lift", "Automorphism",
     "apply", "compose", "automorphisms", "automorphisms_with_diagnostics",
     "GaloisGroup", "galois_group", "conjugate_vector", "minpoly_from_images",
     # criteria

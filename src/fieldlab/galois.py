@@ -39,18 +39,19 @@ exceeds b.
 The walk keys each map by its root permutation pi at the split prime: sigma
 followed by the embedding theta -> m_t is the embedding theta -> m_pi(t), so
 s after t has the permutation (pi_t[pi_s[u]] for u).  The closure composes
-permutations and reads the map of a new one from the same Lagrange H, and
+permutations and reads the map of a new one from the same Lagrange H.  The
+walk hands the permutations over with its split prime (``perms``), and
 ``GaloisGroup`` tabulates the group from them by lookup.  Each map carries
 its conjugation matrix, the numerators of r^0, ..., r^(n-1) over one
 denominator, taken from the powers of r that its check f(r) = 0 computes,
 so sigma(a) is one integer matrix-vector product.
 
-A ``GaloisGroup`` keeps a split prime, the walk's or one it finds itself:
-its n lifted roots are the n embeddings of E into Q_p, so the images of an
-element there are its conjugates.  ``minpoly_from_images`` reads every
-minimal polynomial from them, at a precision that makes two images agree
-only for equal conjugates, and keeps the deepest lift on the group, so
-later elements lift no more.
+A ``GaloisGroup`` keeps the walk's split prime: its n lifted roots are the
+n embeddings of E into Q_p, so the images of an element there are its
+conjugates.  ``minpoly_from_images`` reads every minimal polynomial from
+them, at a precision that makes two images agree only for equal
+conjugates, and keeps the deepest lift on the group, so later elements
+lift no more.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .numberfield import (
 from .polynomials import (
     ModPoly,
     UPoly,
+    _from_roots,
     _symmetric,
     frobenius_scan,
     integral_model,
@@ -93,12 +95,15 @@ DEFAULT_PRIME_BOUND = 10_000
 
 class SplitPrimeData(NamedTuple):
     """A prime with the roots of f modulo it lifted to precision p^k: all n
-    roots at a split prime, the one root at a prime that proves Aut = {id}."""
+    roots at a split prime, the one root at a prime that proves Aut = {id}.
+    perms[i] is the root permutation of the i-th automorphism the walk
+    returned, as indices into lifted_roots."""
 
     field: NumberField
     p: int
     lifted_roots: tuple[int, ...]
     precision: int
+    perms: tuple[tuple[int, ...], ...] = ()
 
     @property
     def modulus(self) -> int:
@@ -124,25 +129,13 @@ def _squarefree(E: NumberField, record) -> bool:
     return mod_is_squarefree(record.fp) if known is None else known
 
 
-def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
-                     min_p: int = 2) -> SplitPrimeData:
-    """Smallest prime p in [min_p, bound] at which f has n distinct roots:
-    the first scan record whose root count is n.  min_p exists so callers
-    can force a second, independent prime.
-    """
-    for record in _scan(E, min_p, bound):
-        if record.roots == E.degree:
-            return SplitPrimeData(E, record.p, record.fp.roots(), 1)
-    raise NoSplitPrimeFound(bound)
-
-
 def hensel_lift(data: SplitPrimeData, target_k: int) -> SplitPrimeData:
     """Newton-lift every root to precision p^target_k; no-op if already there."""
     if data.precision >= target_k:
         return data
     roots = newton_lift(data.field.minpoly, data.lifted_roots, data.p,
                         data.precision, target_k)
-    return SplitPrimeData(data.field, data.p, roots, target_k)
+    return data._replace(lifted_roots=roots, precision=target_k)
 
 
 class Automorphism:
@@ -214,16 +207,6 @@ def compose(s: Automorphism, t: Automorphism) -> Automorphism:
     return Automorphism(s.parent, _image(s, t.r))
 
 
-def _root_permutation(s: Automorphism, roots_mod_p: list[int], p: int) -> tuple[int, ...]:
-    # pi with s(theta) = m_pi(t) at the embedding theta -> m_t, as indices
-    # into roots_mod_p: an embedding after s is the embedding at m_pi(t),
-    # so s after t has the permutation (pi_t[pi_s[u]] for u)
-    r = s.r
-    rep = ModPoly(p, r.num)
-    inv = pow(r.den, -1, p)
-    return tuple(roots_mod_p.index(rep(m) * inv % p) for m in roots_mod_p)
-
-
 def _lagrange_columns(f: ModPoly, roots: tuple[int, ...]) -> list[list[int]]:
     # column t holds the coefficients of q_t = f / (x - m_t) mod f.p, so that
     # q_t(m_s) = delta_st * f'(m_t) when f = prod (x - m_t)
@@ -247,7 +230,9 @@ def automorphisms_with_diagnostics(
 ) -> tuple[list[Automorphism], SplitPrimeData]:
     """All automorphisms in canonical order plus the prime data used: the
     split prime at the one precision the walk ran at, or the one-root prime
-    at precision 1 when that root alone proves Aut = {id}.
+    at precision 1 when that root alone proves Aut = {id}.  data.perms[i]
+    is the root permutation pi of auts[i], with r(m_t) = m_pi(t) at every
+    lifted root m_t; at a one-root prime it is ((0,),).
 
     The precision is the least k with p^k above twice Euler's bound on the
     integer coefficients of H = F'(theta')*sigma(theta') (module docstring),
@@ -276,7 +261,7 @@ def automorphisms_with_diagnostics(
         raise NoSplitPrimeFound(prime_bound)
     data = SplitPrimeData(E, record.p, record.fp.roots(), 1)
     if b == 1:
-        return [identity], data
+        return [identity], data._replace(perms=((0,),))
 
     f = E.minpoly
     den, F = integral_model(f)
@@ -285,7 +270,7 @@ def automorphisms_with_diagnostics(
     data = hensel_lift(data, lift_precision(data.p, max(bounds)))
     modulus = data.modulus
     roots = [den * m % modulus for m in data.lifted_roots]  # the roots of F
-    cols = _lagrange_columns(ModPoly(modulus, F), roots)
+    rows = list(zip(*_lagrange_columns(ModPoly(modulus, F), roots)))
     # r = H(den*theta) / (den^n f'(theta)), as F'(den*theta) = den^(n-1) f'(theta)
     scale = 1 / (E.reduce_poly(f.derivative()) * den ** n)
 
@@ -297,8 +282,7 @@ def automorphisms_with_diagnostics(
         images = [roots[j] for j in pi]
         H = [0] * (n - 1) + [-F[n - 1] * den ** (n - 1)]
         for i in reversed(range(n - 1)):
-            h = sum(col[i] * m for col, m in zip(cols, images))
-            h = _symmetric(h % modulus, modulus)
+            h = _symmetric(sum(map(mul, rows[i], images)) % modulus, modulus)
             if abs(h) > bounds[i]:
                 return None
             H[i] = h * den ** i
@@ -342,9 +326,8 @@ def automorphisms_with_diagnostics(
         except ValueError:
             continue  # H in bound, but r is no root of f
         absorb(pi, aut)
-    ordered = sorted(found.values(), key=lambda a: a.r.coeffs)
-    ordered.remove(identity)
-    return [identity] + ordered, data
+    perms = sorted(found, key=lambda pi: (found[pi] is not identity, found[pi].r.coeffs))
+    return [found[pi] for pi in perms], data._replace(perms=tuple(perms))
 
 
 def automorphisms(E: NumberField, **options) -> list[Automorphism]:
@@ -358,23 +341,24 @@ class GaloisGroup:
     elements[0] is the identity; table[i][j] is the index of
     elements[i] composed with elements[j], looked up by its root
     permutation at the split prime, composed from theirs (KeyError if the
-    elements are not closed under composition).  split is a split prime
-    with its n lifted roots, the n embeddings of the field into Q_p, that
-    ``minpoly_from_images`` reads: the walk's when given, else the least
-    one ``find_split_prime`` finds.  It holds the deepest lift asked of it
+    elements are not closed under composition).  split is the walk's split
+    prime, with split.perms[i] the root permutation of elements[i] and its
+    n lifted roots the n embeddings of the field into Q_p, which
+    ``minpoly_from_images`` reads.  It holds the deepest lift asked of it
     so far.
     """
 
     __slots__ = ("field", "elements", "table", "split")
 
     def __init__(self, field: NumberField, elements: list[Automorphism],
-                 split: SplitPrimeData | None = None):
+                 split: SplitPrimeData):
         self.field = field
         self.elements = tuple(elements)
-        self.split = find_split_prime(field) if split is None else split
-        p = self.split.p
-        roots = [m % p for m in self.split.lifted_roots]
-        perms = [_root_permutation(a, roots, p) for a in self.elements]
+        self.split = split
+        perms = split.perms
+        if len(perms) != len(self.elements):
+            raise ValueError("the split prime data needs one root permutation "
+                             "per element")
         index = {pi: i for i, pi in enumerate(perms)}
         self.table = tuple(
             tuple(index[tuple(q[u] for u in pi)] for q in perms)
@@ -436,13 +420,9 @@ def minpoly_from_images(G: GaloisGroup, a: FieldElem) -> UPoly:
         for c in reversed(W):
             v = (v * y + c) % modulus
         values.add(v)
-    poly = [1]  # prod (x - v) mod p^k over the distinct v, lowest degree first
-    for v in values:
-        poly = [(shifted - v * c) % modulus
-                for shifted, c in zip([0] + poly, poly + [0])]
     s, d = a.den * den ** (n - 1), len(values)
-    mp = UPoly([Fraction(_symmetric(c, modulus), s ** (d - j))
-                for j, c in enumerate(poly)])
+    mp = UPoly([Fraction(c, s ** (d - j))
+                for j, c in enumerate(_from_roots(values, modulus))])
     if not poly_eval(mp, a).is_zero:
         raise AssertionError("the minimal polynomial read at the split prime "
                              "does not vanish at the element")

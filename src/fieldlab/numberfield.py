@@ -57,6 +57,7 @@ from .linalg import _bareiss_int
 from .polynomials import (
     ModPoly,
     UPoly,
+    _from_roots,
     _symmetric,
     frobenius_scan,
     integral_model,
@@ -515,10 +516,7 @@ def _recombine(f: UPoly, fp: ModPoly, half: int) -> int:
             g0 = _symmetric((-1) ** d * math.prod(subset) % modulus, modulus)
             if not g0 or abs(g0) > bounds[0] or F[0] % g0:
                 continue
-            g = [1]  # prod (y - m) over the subset, low degree first
-            for m in subset:
-                g = [(a - m * b) % modulus for a, b in zip([0] + g, g + [0])]
-            g = [_symmetric(c, modulus) for c in g]
+            g = _from_roots(subset, modulus)
             if all(abs(c) <= b for c, b in zip(g, bounds)) and not UPoly(F) % UPoly(g):
                 raise ZeroDivisor(UPoly([Fraction(c, D ** (d - i)) for i, c in enumerate(g)]))
     return k

@@ -558,3 +558,12 @@ def _symmetric(r: int, modulus: int) -> int:
     # benchmark's tracer wraps every public function, and this one runs in
     # the innermost loops of the recombination and the automorphism walk.
     return r - modulus if 2 * r > modulus else r
+
+
+def _from_roots(roots: Iterable[int], modulus: int) -> list[int]:
+    # prod (y - m) over the roots mod modulus, low degree first, as symmetric
+    # residues; not public, for the reason _symmetric gives
+    g = [1]
+    for m in roots:
+        g = [(a - m * b) % modulus for a, b in zip([0] + g, g + [0])]
+    return [_symmetric(c, modulus) for c in g]

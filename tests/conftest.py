@@ -1,6 +1,8 @@
 """Shared fixtures: the reference fields, seeded random element factories,
 and test oracles that the library itself does not need."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,15 +12,18 @@ import pytest
 from fieldlab import (
     AssumedIrreducible,
     ModPoly,
+    NoSplitPrimeFound,
     NumberField,
     QMatrix,
+    SplitPrimeData,
     UPoly,
     automorphisms,
     make_field,
     parse_poly,
     poly_eval,
 )
-from fieldlab.polynomials import _scan_record
+from fieldlab.galois import DEFAULT_PRIME_BOUND
+from fieldlab.polynomials import _scan_record, frobenius_scan
 
 # Defining polynomials exercised throughout the suite.  Degrees 2..4 cover
 # quadratic, non-Galois cubic, and three flavors of quartic Galois group
@@ -142,8 +147,41 @@ def is_galois(E: NumberField) -> bool:
     return len(automorphisms(E)) == E.degree
 
 
+def find_split_prime(E: NumberField, bound: int = DEFAULT_PRIME_BOUND,
+                     min_p: int = 2) -> SplitPrimeData:
+    """The least prime p in [min_p, bound] at which f has n distinct roots,
+    the first ``frobenius_scan`` record with root count n, and its roots at
+    precision 1.  min_p forces a second, independent prime."""
+    for record in frobenius_scan(E.minpoly, min_p, bound):
+        if record.roots == E.degree:
+            return SplitPrimeData(E, record.p, record.fp.roots(), 1)
+    raise NoSplitPrimeFound(bound)
+
+
+def root_permutation(s, roots_mod_p: list[int], p: int) -> tuple[int, ...]:
+    """pi with s(theta) = m_pi(t) at the embedding theta -> m_t, as indices
+    into roots_mod_p, from the image r of s evaluated at every root."""
+    r = s.r
+    rep = ModPoly(p, r.num)
+    inv = pow(r.den, -1, p)
+    return tuple(roots_mod_p.index(rep(m) * inv % p) for m in roots_mod_p)
+
+
 def mod_is_irreducible(f: ModPoly) -> bool:
     """Ben-Or's test on the scan record of f; False below degree 1."""
     if f.degree < 1:
         return False
     return _scan_record(f.monic()).is_irreducible()
+
+
+def digest(code, out: str, err: str) -> str:
+    """sha256 of the exit code and the JSON document without its timings;
+    of the exit code, stdout and stderr where no document was printed."""
+    try:
+        doc = json.loads(out)
+    except ValueError:  # no document: the exit code and stderr are the answer
+        body = out + err
+    else:
+        doc.get("diagnostics", {}).pop("timings", None)
+        body = json.dumps(doc, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(f"{code}\n{body}".encode()).hexdigest()

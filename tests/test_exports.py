@@ -9,7 +9,8 @@ def test_every_exported_name_resolves():
     assert len(set(fieldlab.__all__)) == len(fieldlab.__all__)
 
 
-REMOVED = ["EMatrix", "matrix_rank", "is_galois", "density_rank", "mod_is_irreducible"]
+REMOVED = ["EMatrix", "matrix_rank", "is_galois", "density_rank", "mod_is_irreducible",
+           "find_split_prime"]
 
 
 # QMatrix is a container with trace and det; its ring arithmetic is gone

@@ -21,7 +21,6 @@ from fieldlab import (
     automorphisms_with_diagnostics,
     compose,
     conjugate_vector,
-    find_split_prime,
     galois_group,
     hensel_lift,
     make_field,
@@ -35,7 +34,8 @@ from fieldlab import galois, search
 from fieldlab.galois import DEFAULT_PRIME_BOUND, _lagrange_columns, minpoly_from_images
 from fieldlab.polynomials import mod_is_squarefree, primes_from
 from conftest import (
-    check_euler_coordinates, euler_bounds, field, force_field, random_elem, shifted,
+    GALOIS_POLYS, check_euler_coordinates, euler_bounds, field, find_split_prime,
+    force_field, random_elem, root_permutation, shifted,
 )
 
 RATIONAL_POLYS = ["x^2+1/4", "x^4+1/16", "x^4-5/2*x^2+1/16"]
@@ -365,6 +365,46 @@ def test_group_axioms_from_table(galois_fields):
             assert G.table[G.table[i][j]][k] == G.table[i][G.table[j][k]]
 
 
+def oracle_perms(auts, data):
+    # each map's root permutation, evaluated at the roots mod p
+    roots = [m % data.p for m in data.lifted_roots]
+    return [root_permutation(s, roots, data.p) for s in auts]
+
+
+# Phi_7, Phi_9 and x^8+1: the Galois fields of the benchmark beyond GALOIS_POLYS
+HANDOVER_FIELDS = (
+    [shifted(t, k) for t in GALOIS_POLYS + ["x^6+x^5+x^4+x^3+x^2+x+1", "x^6+x^3+1", "x^8+1"]
+     for k in (0, 1)]
+    + [field("x^4+1/16"), field("x-1")]
+)
+
+
+@pytest.mark.parametrize("E", HANDOVER_FIELDS, ids=lambda E: str(E.minpoly))
+def test_group_reads_the_walks_root_permutations(E):
+    G = galois_group(E)
+    assert len(G.split.perms) == G.order == E.degree
+    assert list(G.split.perms) == oracle_perms(G.elements, G.split)
+    # a deeper lift keeps them
+    assert hensel_lift(G.split, G.split.precision + 2).perms == G.split.perms
+
+
+@pytest.mark.parametrize("text", ["x^3-2", "x^6-2", "x^7-x-1"])
+def test_walk_permutations_line_up_on_non_galois_fields(text):
+    # x^3-2 and x^7-x-1 stop at a one-root prime, x^6-2 walks at a split one
+    E = field(text)
+    auts, data = automorphisms_with_diagnostics(E)
+    assert len(data.perms) == len(auts) < E.degree
+    assert list(data.perms) == oracle_perms(auts, data)
+    assert data.perms[0] == tuple(range(len(data.lifted_roots)))
+
+
+def test_group_refuses_split_data_without_permutations():
+    E = field("x^4+1")
+    auts, data = automorphisms_with_diagnostics(E)
+    with pytest.raises(ValueError):
+        GaloisGroup(E, auts, data._replace(perms=()))
+
+
 def test_table_matches_compose(galois_fields):
     for E in galois_fields:
         G = galois_group(E)
@@ -460,13 +500,6 @@ def test_nongenerators_read_at_the_split_prime():
     for a in (E.from_rational(Fraction(3, 17)), theta ** 2, theta ** 2 / 17 + 5):
         assert minpoly(a).degree < E.degree
         assert minpoly_from_images(G, a) == minpoly(a)
-
-
-def test_group_without_split_prime_finds_one():
-    E = field("x^2+1")
-    bare = GaloisGroup(E, automorphisms(E))
-    assert bare.split == find_split_prime(E)
-    assert minpoly_from_images(bare, E.gen()) == minpoly(E.gen())
 
 
 def test_galois_searches_never_solve_exactly(monkeypatch):

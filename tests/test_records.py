@@ -99,7 +99,9 @@ def test_records_are_immutable():
 def test_split_prime_data_keeps_its_modulus():
     data = galois_group(field("x^4+1")).split
     assert data.modulus == data.p ** data.precision
-    assert data == SplitPrimeData(data.field, data.p, data.lifted_roots, data.precision)
+    assert data == SplitPrimeData(data.field, data.p, data.lifted_roots, data.precision,
+                                  data.perms)
+    assert data != data._replace(perms=())
 
 
 def test_solve_result_fields():
