@@ -51,27 +51,20 @@ from .linalg import (
     rank_and_solve,
 )
 from .parsing import format_elem, format_poly, parse_poly
-from .representation import minpoly, norm, regrep, trace, trace_gram
+from .representation import minpoly, norm, trace, trace_gram
 from .galois import (
     Automorphism,
     GaloisGroup,
     SplitPrimeData,
-    apply,
     automorphisms,
     automorphisms_with_diagnostics,
-    compose,
     conjugate_vector,
     galois_group,
     hensel_lift,
     minpoly_from_images,
 )
 from .criteria import (
-    NormalReport,
-    PrimitivityReport,
     SeparabilityReport,
-    conjugate_rank,
-    is_normal_generator,
-    is_primitive,
     is_separable_ext,
     no_low_degree_relation,
     normal_det,
@@ -80,7 +73,6 @@ from .search import (
     PerH,
     SearchConfig,
     WitnessedElement,
-    distinct_mod_scalars,
     enumerate_candidates,
     norm_one_normal,
     norm_one_primitive,
@@ -109,17 +101,15 @@ __all__ = [
     # parsing and formatting
     "parse_poly", "format_poly", "format_elem",
     # representation
-    "regrep", "trace", "norm", "minpoly", "trace_gram",
+    "trace", "norm", "minpoly", "trace_gram",
     # galois
     "SplitPrimeData", "hensel_lift", "Automorphism",
-    "apply", "compose", "automorphisms", "automorphisms_with_diagnostics",
+    "automorphisms", "automorphisms_with_diagnostics",
     "GaloisGroup", "galois_group", "conjugate_vector", "minpoly_from_images",
     # criteria
-    "PrimitivityReport", "SeparabilityReport", "NormalReport", "is_primitive",
-    "is_separable_ext", "normal_det", "is_normal_generator", "conjugate_rank",
-    "no_low_degree_relation",
+    "SeparabilityReport", "is_separable_ext", "normal_det", "no_low_degree_relation",
     # search
     "SearchConfig", "PerH", "WitnessedElement", "enumerate_candidates",
-    "search_primitive", "search_normal", "distinct_mod_scalars",
-    "norm_one_primitive", "norm_one_normal", "pell_solutions",
+    "search_primitive", "search_normal", "norm_one_primitive", "norm_one_normal",
+    "pell_solutions",
 ]

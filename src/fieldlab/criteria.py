@@ -1,17 +1,17 @@
-"""Decidable characterizations: primitivity, separability, normality, density.
+"""Decidable characterizations: separability, normality, density.
 
 Primitivity of a is deg(minpoly(a)) = n — no splitting field is ever
-constructed.  ``is_primitive`` solves for the minimal polynomial exactly; the
-searches with a Galois group read it from the images of a at the split
-prime, whose distinct images are the distinct conjugates of a
-(``galois.minpoly_from_images``).  Normality of a under a full automorphism group G
-is the nonvanishing of det[(sigma tau)(a)], equivalently the conjugates of a
-forming a Q-basis; both routes are implemented so each can serve as the
-other's oracle.  The density probe proves "no low-degree relation" by full
-column rank of the monomial matrix modulo a fixed prime, reading the points
-one at a time until that rank is full, so it reads about as many points as
-the matrix has columns, however many there are; it converts every point and
-eliminates exactly over Q only when that rank falls short.
+constructed.  The searches without a Galois group solve for the minimal
+polynomial exactly (``representation.minpoly``); those with one read it
+from the images of a at the split prime, whose distinct images are the
+distinct conjugates of a (``galois.minpoly_from_images``).  Normality of a
+under a full automorphism group G is the nonvanishing of
+det[(sigma tau)(a)] (``normal_det``).  The density probe proves "no
+low-degree relation" by full column rank of the monomial matrix modulo a
+fixed prime, reading the points one at a time until that rank is full, so
+it reads about as many points as the matrix has columns, however many there
+are; it converts every point and eliminates exactly over Q only when that
+rank falls short.
 """
 
 from __future__ import annotations
@@ -26,52 +26,19 @@ from .errors import InsufficientSample
 from .galois import GaloisGroup, conjugate_vector
 from .linalg import FILTER_PRIME, QMatrix, _rank_mod, field_det, rank_and_solve
 from .numberfield import FieldElem, NumberField
-from .polynomials import squarefree_part
-from .representation import minpoly, trace_gram
-
-
-class PrimitivityReport(NamedTuple):
-    element: FieldElem
-    minpoly_degree: int
-    squarefree: bool
-    is_primitive: bool
+from .representation import trace_gram
 
 
 class SeparabilityReport(NamedTuple):
     gram_det: Fraction
-    nonzero_trace_power: int  # exponent i with trace(theta^i) != 0
     is_separable: bool
-
-
-class NormalReport(NamedTuple):
-    element: FieldElem
-    det_value: FieldElem
-    is_normal: bool
-
-
-def is_primitive(E: NumberField, a: FieldElem) -> PrimitivityReport:
-    """a generates E iff its minimal polynomial has full degree n.
-
-    ``squarefree`` reports whether that polynomial is squarefree; over Q a
-    minimal polynomial is irreducible, so it always is when E is a field."""
-    E._check_same(a.parent)
-    mp = minpoly(a)
-    return PrimitivityReport(
-        element=a,
-        minpoly_degree=mp.degree,
-        squarefree=squarefree_part(mp) == mp,
-        is_primitive=mp.degree == E.degree,
-    )
 
 
 def is_separable_ext(E: NumberField) -> SeparabilityReport:
     """E/Q is separable iff its trace form is nondegenerate: det(trace_gram)
-    != 0.  The witness power is always 0, since trace(1) = n != 0 in
-    characteristic 0."""
+    != 0."""
     det = trace_gram(E).det()
-    return SeparabilityReport(
-        gram_det=det, nonzero_trace_power=0, is_separable=det != 0
-    )
+    return SeparabilityReport(gram_det=det, is_separable=det != 0)
 
 
 def normal_det(G: GaloisGroup, a: FieldElem) -> FieldElem:
@@ -79,19 +46,6 @@ def normal_det(G: GaloisGroup, a: FieldElem) -> FieldElem:
     conj = conjugate_vector(G, a)
     rows = [[conj[k] for k in row] for row in G.table]
     return field_det(rows, G.field.zero(), G.field.one())
-
-
-def is_normal_generator(G: GaloisGroup, a: FieldElem) -> NormalReport:
-    """a's conjugate orbit is a Q-basis iff the group determinant is nonzero."""
-    det = normal_det(G, a)
-    return NormalReport(element=a, det_value=det, is_normal=not det.is_zero)
-
-
-def conjugate_rank(G: GaloisGroup, a: FieldElem) -> int:
-    """Rank over Q of the coefficient matrix of the conjugates of a; the
-    independent oracle for is_normal_generator (rank n iff normal)."""
-    conj = conjugate_vector(G, a)
-    return rank_and_solve(QMatrix([list(c.coeffs) for c in conj])).rank
 
 
 def _monomials(m: int, d: int) -> list[tuple[int, ...]]:

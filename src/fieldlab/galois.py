@@ -172,7 +172,9 @@ class Automorphism:
         return self.r == self.parent.gen()
 
     def __call__(self, a: FieldElem) -> FieldElem:
-        return apply(self, a)
+        """sigma(a) from sigma's conjugation matrix and the numerators of a."""
+        self.parent._check_same(a.parent)
+        return _image(self, a)
 
     def __eq__(self, other):
         if isinstance(other, Automorphism):
@@ -191,20 +193,6 @@ def _image(s: Automorphism, a: FieldElem) -> FieldElem:
     num = a.num
     return _canonical(s.parent, [sum(map(mul, row, num)) for row in s.matrix],
                       s.den * a.den)
-
-
-def apply(s: Automorphism, a: FieldElem) -> FieldElem:
-    """sigma(a) from sigma's conjugation matrix and the numerators of a."""
-    if s.parent is not a.parent and s.parent != a.parent:
-        raise FieldMismatch("automorphism and element live in different fields")
-    return _image(s, a)
-
-
-def compose(s: Automorphism, t: Automorphism) -> Automorphism:
-    """s after t: theta -> s(t(theta))."""
-    if s.parent != t.parent:
-        raise FieldMismatch("cannot compose automorphisms of different fields")
-    return Automorphism(s.parent, _image(s, t.r))
 
 
 def _lagrange_columns(f: ModPoly, roots: tuple[int, ...]) -> list[list[int]]:

@@ -1,7 +1,7 @@
 """Exact matrices over Q, and every elimination kernel.
 
 Row reduction over Q uses deterministic pivoting (first nonzero entry in
-column order), so ranks, solutions and kernels are bit-reproducible.
+column order), so ranks and solutions are bit-reproducible.
 Fraction-free Bareiss elimination (``_bareiss_int``) gives determinants over
 Q on integerized rows and solves the integer systems of
 ``numberfield.invert``; determinants of nested lists of number field
@@ -28,7 +28,7 @@ FILTER_PRIME = (1 << 61) - 1
 
 
 class QMatrix:
-    """Dense matrix over Q, row-major: a container with trace and det."""
+    """Dense matrix over Q, row-major: a container with det."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -44,19 +44,6 @@ class QMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
     def det(self) -> Fraction:
         return qmatrix_det(self)
 
@@ -69,13 +56,11 @@ def _frac(c) -> Fraction:
 
 
 class SolveResult(NamedTuple):
-    """Outcome of rank_and_solve: rank, one solution of M x = rhs (free
-    variables pinned to zero; None if inconsistent or no rhs given), and a
-    kernel basis (one vector per free column, deterministic order)."""
+    """Outcome of rank_and_solve: rank and one solution of M x = rhs (free
+    variables pinned to zero; None if inconsistent or no rhs given)."""
 
     rank: int
     solution: list | None
-    kernel: list[list]
 
 
 def rank_and_solve(matrix: QMatrix, rhs=None) -> SolveResult:
@@ -90,7 +75,7 @@ def rank_and_solve(matrix: QMatrix, rhs=None) -> SolveResult:
 
 
 def _solve(rows, ncols, rhs) -> SolveResult:
-    zero, one = Fraction(0), Fraction(1)
+    zero = Fraction(0)
     work = [list(r) for r in rows]
     b = list(rhs) if rhs is not None else None
     pivots: list[tuple[int, int]] = []  # (row, col)
@@ -128,18 +113,7 @@ def _solve(rows, ncols, rhs) -> SolveResult:
             solution = [zero] * ncols
             for (pr, pc) in pivots:
                 solution[pc] = b[pr] / work[pr][pc]
-
-    pivot_cols = {pc for _, pc in pivots}
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for (pr, pc) in pivots:
-            vec[pc] = -(work[pr][free] / work[pr][pc])
-        kernel.append(vec)
-    return SolveResult(rank=rank, solution=solution, kernel=kernel)
+    return SolveResult(rank=rank, solution=solution)
 
 
 def _rank_mod(rows, p: int, target: int) -> int:

@@ -1,37 +1,45 @@
-"""Multiplication operators on a number field and the data they carry.
+"""Trace, norm, minimal polynomial and trace form of a number field.
 
-Everything here is a view of one object: the matrix of y -> a*y in the power
-basis, built on integer columns (``numberfield._mul_matrix``).  Trace and
-norm are its diagonal sum and determinant, the norm a fraction-free integer
-determinant; the minimal polynomial comes from the first linear dependency
-among powers of a, found by exact elimination rather than a
-characteristic-polynomial routine.  The searches that hold a Galois group
-read every minimal polynomial from the split prime instead
-(``galois.minpoly_from_images``).  The trace form needs only the traces of
-the powers of theta, which Newton's identities give from the coefficients of
-f without building any matrix.
+The norm is the determinant of the multiplication matrix y -> a*y in the
+power basis, built on integer columns (``numberfield._mul_matrix``): a
+fraction-free integer determinant.  The minimal polynomial comes from the
+first linear dependency among powers of a, found by exact elimination
+rather than a characteristic-polynomial routine.  The searches that hold a
+Galois group read every minimal polynomial from the split prime instead
+(``galois.minpoly_from_images``).  The trace and the trace form need only
+the traces of the powers of theta, which Newton's identities give from the
+coefficients of f without building any matrix (``_power_sums``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .linalg import QMatrix, _bareiss_int, rank_and_solve
 from .numberfield import FieldElem, NumberField, _mul_matrix
 from .polynomials import UPoly
 
 
-def regrep(a: FieldElem) -> QMatrix:
-    """Matrix of multiplication by a; column j holds the coordinates of
-    a*theta^j.  A ring homomorphism into n x n rational matrices."""
-    rden = a.parent._reduction_den
-    return QMatrix([[Fraction(c, a.den * rden**j) for j, c in enumerate(row)]
-                    for row in _mul_matrix(a)])
+def _power_sums(E: NumberField, count: int) -> list[Fraction]:
+    """s_k = trace(theta^k) for k < count, from Newton's identities on the
+    monic f = x^n + c_(n-1) x^(n-1) + ... + c_0: s_0 = n, and
+    s_k = -(k c_(n-k) + sum_(i=1..k-1) c_(n-i) s_(k-i)) for k <= n,
+    s_k = -sum_(i=1..n) c_(n-i) s_(k-i) beyond."""
+    n = E.degree
+    c = E.minpoly.coeffs
+    s = [Fraction(n)]
+    for k in range(1, count):
+        acc = k * c[n - k] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            acc += c[n - i] * s[k - i]
+        s.append(-acc)
+    return s
 
 
 def trace(a: FieldElem) -> Fraction:
-    """Sum of the conjugates of a, computed as the trace of regrep(a)."""
-    return regrep(a).trace()
+    """Sum of the conjugates of a: sum_i num_i trace(theta^i) / den."""
+    return sum(map(mul, a.num, _power_sums(a.parent, a.parent.degree))) / a.den
 
 
 def norm(a: FieldElem) -> Fraction:
@@ -65,19 +73,7 @@ def minpoly(a: FieldElem) -> UPoly:
 
 def trace_gram(E: NumberField) -> QMatrix:
     """Gram matrix of the trace form on the power basis: G[i][j] =
-    trace(theta^(i+j)).  Nonzero determinant certifies separability.
-
-    The power sums s_k = trace(theta^k) come from Newton's identities on the
-    monic f = x^n + c_(n-1) x^(n-1) + ... + c_0: s_0 = n, and
-    s_k = -(k c_(n-k) + sum_(i=1..k-1) c_(n-i) s_(k-i)) for k <= n,
-    s_k = -sum_(i=1..n) c_(n-i) s_(k-i) beyond.
-    """
+    trace(theta^(i+j)).  Nonzero determinant certifies separability."""
     n = E.degree
-    c = E.minpoly.coeffs
-    s = [Fraction(n)]
-    for k in range(1, 2 * n - 1):
-        acc = k * c[n - k] if k <= n else 0
-        for i in range(1, min(k, n + 1)):
-            acc += c[n - i] * s[k - i]
-        s.append(-acc)
+    s = _power_sums(E, 2 * n - 1)
     return QMatrix([[s[i + j] for j in range(n)] for i in range(n)])

@@ -236,17 +236,6 @@ def search_primitive(E: NumberField, cfg: SearchConfig) -> list[WitnessedElement
     return _collect(_search(E, cfg, None), cfg.count)
 
 
-def distinct_mod_scalars(results: Sequence[FieldElem]) -> bool:
-    """No two elements differ only by a rational factor (pairwise rank 2):
-    no element is zero and there are as many distinct rays through the
-    origin as elements.  Fewer than two elements form no pair."""
-    elems = list(results)
-    if len(elems) < 2:
-        return True
-    return (not any(a.is_zero for a in elems)
-            and len({_proj_key(a) for a in elems}) == len(elems))
-
-
 def search_normal(E: NumberField, cfg: SearchConfig, **options) -> list[WitnessedElement]:
     """First count elements a with every h(a) both a generator and a normal
     generator (conjugate orbit a basis).  Requires a Galois field; options

@@ -11,6 +11,7 @@ import pytest
 
 from fieldlab import (
     AssumedIrreducible,
+    Automorphism,
     ModPoly,
     NoSplitPrimeFound,
     NumberField,
@@ -18,6 +19,7 @@ from fieldlab import (
     SplitPrimeData,
     UPoly,
     automorphisms,
+    conjugate_vector,
     make_field,
     parse_poly,
     poly_eval,
@@ -140,6 +142,31 @@ def matrix_rank(rows) -> int:
             work[i] = [x - factor * y for x, y in zip(work[i], top)]
         rank += 1
     return rank
+
+
+def conjugate_rank(G, a) -> int:
+    """Rank over Q of the coordinates of the conjugates of a: n iff a is a
+    normal generator, the oracle for a nonzero group determinant."""
+    return matrix_rank([c.coeffs for c in conjugate_vector(G, a)])
+
+
+def regrep(a) -> QMatrix:
+    """Matrix of multiplication by a: column j holds the coordinates of
+    a*theta^j."""
+    theta = a.parent.gen()
+    return QMatrix(list(zip(*((a * theta**j).coeffs for j in range(a.parent.degree)))))
+
+
+def compose(s, t) -> Automorphism:
+    """s after t: theta -> s(t(theta))."""
+    return Automorphism(s.parent, s(t.r))
+
+
+def distinct_mod_scalars(elems) -> bool:
+    """No two of the elements differ by a rational factor: every pair has
+    rank 2 over Q (so no element is zero when there are two or more)."""
+    return all(matrix_rank([a.coeffs, b.coeffs]) == 2
+               for i, a in enumerate(elems) for b in elems[i + 1:])
 
 
 def is_galois(E: NumberField) -> bool:

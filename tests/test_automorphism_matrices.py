@@ -14,21 +14,19 @@ from fieldlab import (  # noqa: E402
     Automorphism,
     CertifiedSplitPrime,
     FieldElem,
+    FieldMismatch,
     GaloisGroup,
     NumberField,
-    apply,
     automorphisms,
     automorphisms_with_diagnostics,
-    compose,
     conjugate_vector,
     galois_group,
     parse_poly,
     poly_eval,
 )
-from fieldlab import galois  # noqa: E402
 from fieldlab.cli import main  # noqa: E402
 from fieldlab.polynomials import ModPoly  # noqa: E402
-from conftest import GALOIS_POLYS, field, shifted  # noqa: E402
+from conftest import GALOIS_POLYS, compose, field, shifted  # noqa: E402
 
 # the reference Galois fields, their shifts x -> x + k, one with D > 1, and
 # two with the non-abelian group S3, where the order of composition shows
@@ -73,13 +71,24 @@ def group_and_element(draw):
 def test_matrices_and_permutations_match_horner(case):
     G, i, j, a = case
     s, t = G.elements[i], G.elements[j]
-    assert apply(s, a) == horner_apply(s, a)
+    assert s(a) == horner_apply(s, a)
     assert conjugate_vector(G, a)[i] == horner_apply(s, a)
     # the table entry, looked up by composed permutations, is s after t
     product = horner_compose(s, t)
     assert G.elements[G.table[i][j]] == product == compose(s, t)
     # the walk closed the group: the product is one of the elements
     assert product in set(G.elements)
+
+
+@pytest.mark.parametrize("text", GALOIS_POLYS)
+def test_call_is_horner_and_guards_its_field(text):
+    E = field(text)
+    other = field("x^3-2")
+    for s in automorphisms(E):
+        for a in (E.gen(), E.element(range(1, E.degree + 1)), E.from_rational(Fraction(-3, 7))):
+            assert s(a) == horner_apply(s, a)
+        with pytest.raises(FieldMismatch):
+            s(other.gen())
 
 
 @pytest.mark.parametrize("text", ["x^6-2", "x^3-x+3", "x^4-2", "x^8-2"])
@@ -184,7 +193,6 @@ def test_group_paths_neither_compose_nor_multiply(monkeypatch):
     # the closure composes root permutations, the table looks them up and a
     # conjugate is one matrix-vector product: no compose, no Horner step
     E = field("x^8+8*x^7+28*x^6+56*x^5+70*x^4+56*x^3+28*x^2+8*x+2")
-    monkeypatch.setattr(galois, "compose", None)
     auts, data = automorphisms_with_diagnostics(E)
     products = []
     mul = FieldElem.__mul__

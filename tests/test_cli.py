@@ -15,7 +15,6 @@ import pytest
 
 from fieldlab import (
     UPoly,
-    conjugate_rank,
     galois_group,
     make_field,
     minpoly,
@@ -25,6 +24,7 @@ from fieldlab import (
     poly_eval,
 )
 from fieldlab.cli import main
+from conftest import conjugate_rank
 
 
 def run_cli(capsys, *argv):
